@@ -20,15 +20,15 @@ from __future__ import annotations
 import itertools
 
 from .errors import BoundExceeded, InvalidInput
-from .scalars import field_elements
-from .umod import Subspace, UVec
+from .scalars import field_elements, series_inv, series_mul
+from .umod import Subspace, UVec, apply_matrix
 
 DEFAULT_CHAIN_BOUND = 10 ** 6
 
 
 # ----------------------------------------------------------------------
-# truncated polynomial helpers (elements of R_e = K[u]/(u^e) as length-e
-# tuples of raw coefficients over ctx)
+# elements of R_e = K[u]/(u^e) as length-e tuples of raw coefficients over
+# ctx; products and inverses are scalars.series_mul / series_inv
 # ----------------------------------------------------------------------
 def _rzero(ctx, e):
     return (ctx.zero(),) * e
@@ -40,22 +40,6 @@ def _rone(ctx, e):
 
 def _radd(ctx, a, b):
     return tuple(ctx.add(x, y) for x, y in zip(a, b))
-
-
-def _rmul(ctx, e, a, b):
-    out = [ctx.zero()] * e
-    for i, x in enumerate(a):
-        if ctx.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if i + j >= e:
-                break
-            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-    return tuple(out)
-
-
-def _rneg(ctx, a):
-    return tuple(ctx.neg(x) for x in a)
 
 
 class PRChain:
@@ -138,10 +122,6 @@ def standard_free_chain(ctx, e):
         vecs = [UVec.monomial(ctx, e, 1, d) for d in range(e - i, e)]
         levels.append(Subspace.span(ctx, e, vecs))
     return PRChain(ctx, e, levels)
-
-
-def validate(chain):
-    return chain.validate()
 
 
 def _complement_basis(big, small):
@@ -295,58 +275,34 @@ class TruncatedGroupElement:
         """Matrix product self * other."""
         ctx, e = self.ctx, self.e
         a, b = self.entries, other.entries
-        ent = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                acc = _rzero(ctx, e)
-                for k in range(2):
-                    acc = _radd(ctx, acc, _rmul(ctx, e, a[i][k], b[k][j]))
-                row.append(acc)
-            ent.append(row)
+        ent = [
+            [
+                _radd(
+                    ctx,
+                    series_mul(ctx, e, a[i][0], b[0][j]),
+                    series_mul(ctx, e, a[i][1], b[1][j]),
+                )
+                for j in range(2)
+            ]
+            for i in range(2)
+        ]
         return TruncatedGroupElement(ctx, e, ent)
 
     def inverse(self):
         """Adjugate over determinant (a unit power series in u)."""
         ctx, e = self.ctx, self.e
         (a, b), (c, d) = self.entries
-        det = _radd(
-            ctx,
-            _rmul(ctx, e, a, d),
-            tuple(ctx.neg(x) for x in _rmul(ctx, e, b, c)),
-        )
-        # power-series inverse of the unit det
-        inv0 = ctx.inv(det[0])
-        inv = [ctx.zero()] * e
-        inv[0] = inv0
-        for n in range(1, e):
-            acc = ctx.zero()
-            for i in range(1, n + 1):
-                acc = ctx.add(acc, ctx.mul(det[i], inv[n - i]))
-            inv[n] = ctx.neg(ctx.mul(inv0, acc))
-        inv = tuple(inv)
         neg = lambda poly: tuple(ctx.neg(x) for x in poly)
+        det = _radd(ctx, series_mul(ctx, e, a, d), neg(series_mul(ctx, e, b, c)))
+        inv = series_inv(ctx, e, det)
         ent = [
-            [_rmul(ctx, e, inv, d), _rmul(ctx, e, inv, neg(b))],
-            [_rmul(ctx, e, inv, neg(c)), _rmul(ctx, e, inv, a)],
+            [series_mul(ctx, e, inv, d), series_mul(ctx, e, inv, neg(b))],
+            [series_mul(ctx, e, inv, neg(c)), series_mul(ctx, e, inv, a)],
         ]
         return TruncatedGroupElement(ctx, e, ent)
 
     def apply_vec(self, vec):
-        ctx, e = self.ctx, self.e
-        a = vec.coeffs[:e]
-        b = vec.coeffs[e:]
-        na = _radd(
-            ctx,
-            _rmul(ctx, e, self.entries[0][0], a),
-            _rmul(ctx, e, self.entries[0][1], b),
-        )
-        nb = _radd(
-            ctx,
-            _rmul(ctx, e, self.entries[1][0], a),
-            _rmul(ctx, e, self.entries[1][1], b),
-        )
-        return UVec(ctx, e, na + nb)
+        return apply_matrix(self.entries, vec)
 
 
 def act(g, chain):
@@ -409,32 +365,13 @@ def orbits(e, ctx, bound=DEFAULT_CHAIN_BOUND):
 
     Returns a list of (representative chain, orbit size), sorted by the
     representative's canonical key.  Sizes sum to (q+1)^e and divide the
-    group order.
+    group order.  Derived from orbit_transports, the one orbit BFS.
     """
-    chains = enumerate_chains(e, ctx, bound=bound)
-    gens = group_generators(ctx, e)
-    by_key = {c.key(): c for c in chains}
-    unseen = set(by_key)
-    out = []
-    for c in chains:
-        if c.key() not in unseen:
-            continue
-        frontier = [c]
-        orbit = {c.key()}
-        unseen.discard(c.key())
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = act(g, x)
-                    k = y.key()
-                    if k not in orbit:
-                        orbit.add(k)
-                        unseen.discard(k)
-                        nxt.append(y)
-            frontier = nxt
-        out.append((c, len(orbit)))
-    return out
+    reps, sizes = {}, {}
+    for rep, _ in orbit_transports(e, ctx, bound=bound).values():
+        reps.setdefault(rep.key(), rep)
+        sizes[rep.key()] = sizes.get(rep.key(), 0) + 1
+    return [(rep, sizes[k]) for k, rep in reps.items()]
 
 
 def orbit_transports(e, ctx, bound=DEFAULT_CHAIN_BOUND):

@@ -104,15 +104,7 @@ def _suite_hodge(e, qs):
     # fixed invariant triple at N = 3
     ctx = small_field(2)
     mono = lambda c, d: UVec.monomial(ctx, 3, c, d)
-
-    def mspan(vecs):
-        closed = []
-        for v in vecs:
-            while not v.is_zero():
-                closed.append(v)
-                v = v.u_mult()
-        return Subspace.span(ctx, 3, closed)
-
+    mspan = lambda vecs: Subspace.module_span(ctx, 3, vecs)
     triples = [
         (mspan([mono(1, 2)]), (3, 2)),
         (mspan([mono(1, 2), mono(2, 2)]), (2, 2)),
@@ -556,13 +548,17 @@ def _build_parser():
 
 
 def _apply_config(ap, argv):
-    """Pre-scan for --config and install its values as defaults."""
-    if "--config" not in argv:
+    """Pre-scan for --config FILE or --config=FILE and install its values
+    as defaults."""
+    for idx, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            path = arg[len("--config="):]
+            break
+        if arg == "--config" and idx + 1 < len(argv):
+            path = argv[idx + 1]
+            break
+    else:
         return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return
-    path = argv[idx + 1]
     defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:

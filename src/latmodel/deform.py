@@ -35,6 +35,7 @@ from .errors import (
     AllMinorsVanish,
     ContainmentViolated,
     InvalidInput,
+    LatModelError,
     NoValidAuxVector,
     NotDeformable,
     NotFound,
@@ -47,8 +48,8 @@ from .invariants import (
     nilpotency_index,
     stratum_label,
 )
-from .scalars import rational_ctx, truncated_ctx
-from .umod import Subspace, UVec
+from .scalars import rational_ctx, series_inv, series_mul, truncated_ctx
+from .umod import Subspace, UVec, _nullspace, _rref, apply_matrix
 
 DEFAULT_TRUNC_PRECISION = 16
 MAX_TRUNC_PRECISION = 128
@@ -76,37 +77,18 @@ def _complement_generator(big, small):
 
 
 def _solve_linear(cols, target, ctx):
-    """Canonical x with sum x_i cols[i] = target over a field, or None."""
+    """Canonical x with sum x_i cols[i] = target over a field, or None.
+
+    Row reduces the augmented system [cols | target]: a pivot in the last
+    column means it is inconsistent; otherwise the free variables are 0.
+    """
     n = len(cols)
-    dim = len(target)
-    aug = [
-        tuple(c[j] for c in cols) + (target[j],) for j in range(dim)
-    ]
-    # row reduce the augmented system
-    mat = [list(r) for r in aug]
-    pivots = []
-    r = 0
-    for col in range(n + 1):
-        if r >= len(mat):
-            break
-        pr = next(
-            (i for i in range(r, len(mat)) if not ctx.is_zero(mat[i][col])), None
-        )
-        if pr is None:
-            continue
-        if col == n:
-            return None  # pivot in the constant column: inconsistent
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = ctx.inv(mat[r][col])
-        mat[r] = [ctx.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not ctx.is_zero(mat[i][col]):
-                c = mat[i][col]
-                mat[i] = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
+    aug = [tuple(c[j] for c in cols) + (target[j],) for j in range(len(target))]
+    rows, pivots = _rref(aug, ctx, n + 1)
+    if n in pivots:
+        return None
     x = [ctx.zero()] * n
-    for row, p in zip(mat, pivots):
+    for row, p in zip(rows, pivots):
         x[p] = row[n]
     return x
 
@@ -183,12 +165,9 @@ class Window:
         cols.append(self.monomial_exp_e(2))
         return cols
 
-    def map_coeffs(self, x, fn, new_win):
-        return tuple(fn(c) for c in x)
-
 
 # ----------------------------------------------------------------------
-# truncated-polynomial helpers over K[u]/(u^e) for the adapted basis
+# module basis over K[u]/(u^e) adapted to a u-stable subspace
 # ----------------------------------------------------------------------
 def _snf_adapted(w):
     """Module basis (f1, f2) and exponents (a1 >= a2) with
@@ -203,30 +182,8 @@ def _snf_adapted(w):
     def pshift_down(poly, s):
         return poly[s:] + (ctx.zero(),) * s
 
-    def pmul(a, b):
-        out = [ctx.zero()] * e
-        for i, x in enumerate(a):
-            if ctx.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                if i + j >= e:
-                    break
-                out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-        return tuple(out)
-
     def psub(a, b):
         return tuple(ctx.sub(x, y) for x, y in zip(a, b))
-
-    def pinv_unit(a):
-        inv0 = ctx.inv(a[0])
-        out = [ctx.zero()] * e
-        out[0] = inv0
-        for n in range(1, e):
-            acc = ctx.zero()
-            for i in range(1, n + 1):
-                acc = ctx.add(acc, ctx.mul(a[i], out[n - i]))
-            out[n] = ctx.neg(ctx.mul(inv0, acc))
-        return tuple(out)
 
     pone = (ctx.one(),) + (ctx.zero(),) * (e - 1)
     pzero = (ctx.zero(),) * e
@@ -263,41 +220,40 @@ def _snf_adapted(w):
                 M[i][step], M[i][bj] = M[i][bj], M[i][step]
         # normalize the pivot to exactly u^s
         unit = pshift_down(M[step][step], s)
-        uinv = pinv_unit(unit)
-        M[step] = [pmul(uinv, x) for x in M[step]]
+        uinv = series_inv(ctx, e, unit)
+        M[step] = [series_mul(ctx, e, uinv, x) for x in M[step]]
         for i in range(2):
-            V[i][step] = pmul(V[i][step], unit)
+            V[i][step] = series_mul(ctx, e, V[i][step], unit)
         if step == 0 and d > 0:
             # clear below the pivot
             if val(M[1][0]) < e:
                 q = pshift_down(M[1][0], s)
-                M[1] = [psub(x, pmul(q, y)) for x, y in zip(M[1], M[0])]
+                M[1] = [
+                    psub(x, series_mul(ctx, e, q, y)) for x, y in zip(M[1], M[0])
+                ]
                 for i in range(2):
                     V[i][0] = tuple(
                         ctx.add(a, b)
-                        for a, b in zip(V[i][0], pmul(q, V[i][1]))
+                        for a, b in zip(V[i][0], series_mul(ctx, e, q, V[i][1]))
                     )
             # clear to the right of the pivot (column operations)
             for k in range(1, d):
                 if val(M[0][k]) < e:
                     ck = pshift_down(M[0][k], s)
                     for i in range(2):
-                        M[i][k] = psub(M[i][k], pmul(ck, M[i][0]))
+                        M[i][k] = psub(M[i][k], series_mul(ctx, e, ck, M[i][0]))
         exps.append(s)
     a2 = exps[0] if exps else e
     a1 = exps[1] if len(exps) > 1 else e
     g_small = UVec(ctx, e, V[0][0] + V[1][0])  # exponent a2 (smaller)
     g_big = UVec(ctx, e, V[0][1] + V[1][1])  # exponent a1 (larger)
     # verify: W equals the module span of u^a1 g_big, u^a2 g_small
-    closed = []
+    shifted = []
     for g, s in ((g_big, a1), (g_small, a2)):
-        v = g
         for _ in range(s):
-            v = v.u_mult()
-        while not v.is_zero():
-            closed.append(v)
-            v = v.u_mult()
-    if not Subspace.span(ctx, e, closed).equals(w):
+            g = g.u_mult()
+        shifted.append(g)
+    if not Subspace.module_span(ctx, e, shifted).equals(w):
         raise AssertionError("adapted basis reconstruction failed (bug)")
     return g_big, g_small, a1, a2
 
@@ -385,11 +341,6 @@ class FamilyChain:
             raise AllMinorsVanish("truncated family carries no certificate")
         return self.cert.label
 
-    def generic_certificate(self):
-        if self.cert is not None:
-            return self.cert
-        return CertifiedLabel(self.generic_label(), True, {"mode": "exact_rational"})
-
     def semicontinuity_audit(self):
         """hodge can only rise and T can only shrink at the generic fiber."""
         sp = stratum_label(self.specialize())
@@ -413,7 +364,6 @@ def _flat_limit(w, tctx, base):
     """Fiber at t = 0 of a K(t)-subspace (flat limit over K[t] at t)."""
     K = base
     rows = [list(v.coeffs) for v in w.basis()]
-    d = len(rows)
     ncols = 2 * w.N
     trep = tctx.t()
     while True:
@@ -434,39 +384,16 @@ def _flat_limit(w, tctx, base):
                 for j in range(ncols):
                     r[j] = tctx.mul(r[j], f)
         sp = [[tctx.specialize0(c) for c in r] for r in rows]
-        # eliminate over the base field, tracking combinations
-        mat = [list(r) for r in sp]
-        combo = [
-            [K.one() if i == jj else K.zero() for jj in range(d)]
-            for i in range(d)
-        ]
-        r0 = 0
-        for col in range(ncols):
-            pr = next(
-                (i for i in range(r0, d) if not K.is_zero(mat[i][col])), None
-            )
-            if pr is None:
-                continue
-            mat[r0], mat[pr] = mat[pr], mat[r0]
-            combo[r0], combo[pr] = combo[pr], combo[r0]
-            inv = K.inv(mat[r0][col])
-            for i in range(d):
-                if i != r0 and not K.is_zero(mat[i][col]):
-                    c = K.mul(mat[i][col], inv)
-                    mat[i] = [K.sub(x, K.mul(c, y)) for x, y in zip(mat[i], mat[r0])]
-                    combo[i] = [
-                        K.sub(x, K.mul(c, y)) for x, y in zip(combo[i], combo[r0])
-                    ]
-            r0 += 1
-        if r0 == d:
-            vecs = [UVec(K, w.N, tuple(r)) for r in sp]
-            return Subspace.span(K, w.N, vecs)
+        limit = Subspace.span(K, w.N, [UVec(K, w.N, tuple(r)) for r in sp])
+        if limit.dim == len(rows):
+            return limit
         # a specialized dependency: replace the last involved row by the
-        # (t-divisible) combination and iterate
-        dep = combo[r0]
-        last = max(i for i in range(d) if not K.is_zero(dep[i]))
+        # (t-divisible) combination and iterate.  Any dependency will do:
+        # the limit is the unique flat limit in the Grassmannian.
+        dep = _nullspace(sp, K, ncols)[0]
+        last = max(i for i, c in enumerate(dep) if not K.is_zero(c))
         newrow = [tctx.zero()] * ncols
-        for i in range(d):
+        for i in range(len(rows)):
             if not K.is_zero(dep[i]):
                 ci = tctx.lift(dep[i])
                 for j in range(ncols):
@@ -515,14 +442,6 @@ class DeformationTrace:
         }
 
 
-def specialize(fam):
-    return fam.specialize()
-
-
-def generic_label(fam):
-    return fam.generic_label()
-
-
 # ----------------------------------------------------------------------
 # the Hodge-raising deformation
 # ----------------------------------------------------------------------
@@ -546,9 +465,11 @@ def hodge_raise(chain):
     k0 = max(k for k in range(1, e + 1) if s[k] == s[k - 1])
     a = e - k0 + s[k0]
     b = e - s[k0]
-    assert b >= 1, "construction requires b >= 1"
+    if b < 1:
+        raise AssertionError("construction requires b >= 1 (bug)")
     f1, f2, a1, a2 = _snf_adapted(chain.level(k0 - 1))
-    assert (a1, a2) == (a + 1, b), f"adapted exponents {(a1, a2)} != {(a + 1, b)}"
+    if (a1, a2) != (a + 1, b):
+        raise AssertionError(f"adapted exponents {(a1, a2)} != {(a + 1, b)} (bug)")
     win = Window(ctx, e)
 
     # complement generators v_k (window vectors), with v_k0 = u^a f1
@@ -749,7 +670,7 @@ def _family_f_one(model_t, pre_twist_t, extra_matrix=None):
     """span of M (sigma g) w over the lifted twisted preimage basis."""
     imgs = []
     for v in pre_twist_t.basis():
-        x = v if extra_matrix is None else extra_matrix.apply_vec(v)
+        x = v if extra_matrix is None else apply_matrix(extra_matrix, v)
         imgs.append(model_t.apply_linear(x))
     return Subspace.span(pre_twist_t.ctx, pre_twist_t.N, imgs)
 
@@ -911,38 +832,13 @@ def with_precision_retry(fn, *args, N=DEFAULT_TRUNC_PRECISION):
 # ----------------------------------------------------------------------
 # m1 inversion (whole-chain transport by 1 + tA)
 # ----------------------------------------------------------------------
-class _ConstMatrix:
-    """2x2 matrix over a (possibly t-extension) context acting u-linearly."""
-
-    __slots__ = ("ctx", "e", "entries")
-
-    def __init__(self, ctx, e, entries):
-        self.ctx = ctx
-        self.e = e
-        self.entries = entries
-
-    def apply_vec(self, vec):
-        from .chains import _radd, _rmul
-
-        ctx, e = self.ctx, self.e
-        a, b = vec.coeffs[:e], vec.coeffs[e:]
-        na = _radd(
-            ctx,
-            _rmul(ctx, e, self.entries[0][0], a),
-            _rmul(ctx, e, self.entries[0][1], b),
-        )
-        nb = _radd(
-            ctx,
-            _rmul(ctx, e, self.entries[1][0], a),
-            _rmul(ctx, e, self.entries[1][1], b),
-        )
-        return UVec(ctx, e, na + nb)
-
-    def map_entries(self, fn, new_ctx):
-        ent = [
-            [tuple(fn(c) for c in poly) for poly in row] for row in self.entries
-        ]
-        return _ConstMatrix(new_ctx, self.e, ent)
+def _unit_plus_monomial(ctx, e, pos, deg, c, diag):
+    """The 2x2 matrix diag * 1 + c u^deg E_pos over K[u]/(u^e)."""
+    ent = [[[ctx.zero()] * e for _ in range(2)] for _ in range(2)]
+    ent[0][0][0] = ent[1][1][0] = diag
+    i, j = pos
+    ent[i][j][deg] = ctx.add(ent[i][j][deg], c)
+    return [[tuple(poly) for poly in row] for row in ent]
 
 
 def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
@@ -960,36 +856,20 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
     if chain.level(1).dim != 1:
         raise InvalidInput("level one must be a line")
     w1 = chain.level(1).basis()[0]
-    # deterministic choice of A: single-monomial matrices
-    A = None
-    for pos in ((0, 1), (1, 0), (0, 0), (1, 1)):
-        for deg in range(e):
-            poly = [ctx.zero()] * e
-            poly[deg] = ctx.one()
-            ent = [
-                [(ctx.zero(),) * e, (ctx.zero(),) * e],
-                [(ctx.zero(),) * e, (ctx.zero(),) * e],
-            ]
-            ent[pos[0]] = list(ent[pos[0]])
-            ent[pos[0]][pos[1]] = tuple(poly)
-            cand = _ConstMatrix(ctx, e, [tuple(r) for r in ent])
-            if not chain.level(1).contains_vec(cand.apply_vec(w1)):
-                A = cand
-                break
-        if A is not None:
+    # deterministic choice of A: single-monomial matrices u^deg E_pos
+    moves = ((pos, deg) for pos in ((0, 1), (1, 0), (0, 0), (1, 1)) for deg in range(e))
+    for pos, deg in moves:
+        A = _unit_plus_monomial(ctx, e, pos, deg, ctx.one(), ctx.zero())
+        if not chain.level(1).contains_vec(apply_matrix(A, w1)):
             break
-    if A is None:
+    else:
         raise NoValidAuxVector("no matrix moves level one (bug)")
     tctx = truncated_ctx(ctx, N)
     trep = tctx.t()
-    A_t = A.map_entries(tctx.lift, tctx)
-
-    def transport(vec_t):
-        return vec_t.add(A_t.apply_vec(vec_t).scale(trep))
-
+    g_t = _unit_plus_monomial(tctx, e, pos, deg, trep, tctx.one())
     levels = [
         Subspace.span(
-            tctx, e, [transport(lift_vec(v, tctx)) for v in wlvl.basis()]
+            tctx, e, [apply_matrix(g_t, lift_vec(v, tctx)) for v in wlvl.basis()]
         )
         for wlvl in chain.levels
     ]
@@ -1001,19 +881,7 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
 
     # linear invariants are exactly constant: verify by unit-pivot ranks
     lab = stratum_label(chain)
-    top = fam.levels[-1]
-    cur = top
-    dims = []
-    while cur.dim:
-        dims.append(cur.dim)
-        cur = cur.u_image()
-    a_, b_ = lab.lam
-    expected = []
-    k = 0
-    while max(e - a_ - k, 0) + max(e - b_ - k, 0) > 0:
-        expected.append(max(e - a_ - k, 0) + max(e - b_ - k, 0))
-        k += 1
-    if dims != expected:
+    if hodge(fam.levels[-1]) != lab.lam:
         raise AssertionError("transported hodge ranks changed (bug)")
     for idx in range(2, e + 1):
         lower = (
@@ -1022,19 +890,9 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
         if lower.contains(fam.levels[idx - 1].u_image()) != (idx in lab.T):
             raise AssertionError("transported T changed (bug)")
 
-    # m1 breaks already mod t^2
+    # m1 breaks already mod t^2; sigma(g) = 1 + t^p A as A is t-constant
     model_t = model.with_ctx(tctx, tctx.lift)
-    gsigma = _ConstMatrix(
-        tctx,
-        e,
-        [
-            [
-                tuple(tctx.frobenius(c) for c in poly)
-                for poly in row
-            ]
-            for row in _one_plus_tA_entries(A_t, trep, tctx, e)
-        ],
-    )
+    gsigma = _unit_plus_monomial(tctx, e, pos, deg, tctx.frobenius(trep), tctx.one())
     pre3_twist = lift_sub(
         chain.level(e - 1).u_preimage().frobenius_twist(), tctx
     )
@@ -1070,36 +928,19 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
     return fam
 
 
-def _one_plus_tA_entries(A_t, trep, tctx, e):
-    ent = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            poly = list(A_t.entries[i][j])
-            poly = [tctx.mul(trep, c) for c in poly]
-            if i == j:
-                poly[0] = tctx.add(poly[0], tctx.one())
-            row.append(tuple(poly))
-        ent.append(tuple(row))
-    return ent
-
-
 def transport_family(fam, g):
     """Apply a constant group element to every level of a family.
 
     The generic label and validity are unchanged (g is invertible and
     commutes with u); the specialization becomes g * (old specialization).
     """
-    from .chains import TruncatedGroupElement
-
     tctx, e = fam.tctx, fam.e
-    ent = [
+    gt = [
         [tuple(tctx.lift(c) for c in poly) for poly in row]
         for row in g.entries
     ]
-    gt = TruncatedGroupElement(tctx, e, ent)
     levels = [
-        Subspace.span(tctx, e, [gt.apply_vec(v) for v in w.basis()])
+        Subspace.span(tctx, e, [apply_matrix(gt, v) for v in w.basis()])
         for w in fam.levels
     ]
     return FamilyChain(
@@ -1193,6 +1034,6 @@ def _try_perturbation(chain, kt, trep, deltas, gens, moves):
     try:
         if fam.specialize() != chain:
             return None
-    except Exception:
+    except LatModelError:
         return None
     return fam

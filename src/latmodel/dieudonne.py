@@ -21,11 +21,11 @@ ker F = omega^(4), F^(1) = <c u^3 e2> = omega^(1) (m-independently).
 
 from __future__ import annotations
 
-from .chains import PRChain, _radd, _rmul, _rzero
+from .chains import PRChain
 from .errors import DegenerateF, InvalidInput
 from .invariants import StratumLabel, stratum_label
 from .scalars import Scalar
-from .umod import Subspace, UVec
+from .umod import Subspace, UVec, apply_matrix
 
 
 class DieudonneModel:
@@ -63,19 +63,7 @@ class DieudonneModel:
 
     def apply_linear(self, vec):
         """Multiply by the matrix only (no Frobenius) -- for pre-twisted input."""
-        ctx, e = self.ctx, self.e
-        a, b = vec.coeffs[:e], vec.coeffs[e:]
-        na = _radd(
-            ctx,
-            _rmul(ctx, e, self.entries[0][0], a),
-            _rmul(ctx, e, self.entries[0][1], b),
-        )
-        nb = _radd(
-            ctx,
-            _rmul(ctx, e, self.entries[1][0], a),
-            _rmul(ctx, e, self.entries[1][1], b),
-        )
-        return UVec(ctx, e, na + nb)
+        return apply_matrix(self.entries, vec)
 
     def apply(self, vec):
         """The semilinear action F(v) = matrix * frobenius(v)."""
@@ -152,16 +140,7 @@ def ag_witness(m, c, ctx, e=4):
         ],
     )
     mono = lambda coord, deg: UVec.monomial(ctx, e, coord, deg)
-
-    def mspan(vecs):
-        # K[u]/(u^e)-module span: close the generators under u
-        closed = []
-        for v in vecs:
-            while not v.is_zero():
-                closed.append(v)
-                v = v.u_mult()
-        return Subspace.span(ctx, e, closed)
-
+    mspan = lambda vecs: Subspace.module_span(ctx, e, vecs)
     levels = [
         mspan([mono(2, 3)]),
         mspan([mono(1, 3), mono(2, 3)]),

@@ -49,7 +49,8 @@ def block_partition(w_small, w_big):
     sizes = sorted(
         (sum(1 for d in drops if d > j) for j in range(nblocks)), reverse=True
     )
-    assert sum(sizes) == w_big.dim - w_small.dim
+    if sum(sizes) != w_big.dim - w_small.dim:
+        raise AssertionError("block sizes do not sum to the quotient dim (bug)")
     return sizes
 
 
@@ -58,7 +59,7 @@ def hodge(w):
 
     With block sizes [c1 >= c2] (padded by zero to length two), the pair
     is (N - c2, N - c1).  The defining rank identity
-    dim u^k W = max(N-a-k, 0) + max(N-b-k, 0) is asserted.
+    dim u^k W = max(N-a-k, 0) + max(N-b-k, 0) is checked.
     """
     N = w.N
     blocks = block_partition(Subspace.zero(w.ctx, N), w)
@@ -71,7 +72,8 @@ def hodge(w):
     cur = w
     for k in range(N + 1):
         expected = max(N - a - k, 0) + max(N - b - k, 0)
-        assert cur.dim == expected, "hodge rank identity failed"
+        if cur.dim != expected:
+            raise AssertionError("hodge rank identity failed (bug)")
         cur = cur.u_image()
     return pair
 
@@ -83,7 +85,8 @@ def nilpotency_index(w):
     while cur.dim:
         cur = cur.u_image()
         i += 1
-    assert i == w.N - hodge(w)[1]
+    if i != w.N - hodge(w)[1]:
+        raise AssertionError("nilpotency index is not N - b (bug)")
     return i
 
 

@@ -53,7 +53,7 @@ class FieldCtx:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "N", N)
         object.__setattr__(
-            self, "_hash", hash((kind, p, f, modulus, id(base) and None, N))
+            self, "_hash", hash((kind, p, f, modulus, N))
         )
 
     def __setattr__(self, *a):
@@ -186,16 +186,7 @@ class FieldCtx:
         if self.kind == "rational_t":
             K = self.base
             return self._rat_normalize(_pmul(K, a[0], b[0]), _pmul(K, a[1], b[1]))
-        K = self.base
-        out = [K.zero()] * self.N
-        for i, x in enumerate(a):
-            if K.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                if i + j >= self.N:
-                    break
-                out[i + j] = K.add(out[i + j], K.mul(x, y))
-        return tuple(out)
+        return series_mul(self.base, self.N, a, b)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -207,19 +198,9 @@ class FieldCtx:
         if self.kind == "rational_t":
             return self._rat_normalize(a[1], a[0])
         # truncated power series: invertible iff constant term is a unit
-        K = self.base
-        if K.is_zero(a[0]):
+        if self.base.is_zero(a[0]):
             raise NonUnitDivision("non-unit in truncated series ring")
-        c0inv = K.inv(a[0])
-        out = [K.zero()] * self.N
-        out[0] = c0inv
-        for n in range(1, self.N):
-            acc = K.zero()
-            for i in range(1, n + 1):
-                if i < len(a) and not K.is_zero(a[i]):
-                    acc = K.add(acc, K.mul(a[i], out[n - i]))
-            out[n] = K.neg(K.mul(c0inv, acc))
-        return tuple(out)
+        return series_inv(self.base, self.N, a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -367,6 +348,38 @@ class FieldCtx:
         if self.kind == "truncated_t":
             out["prec"] = self.N
         return out
+
+
+# ----------------------------------------------------------------------
+# truncated power series over a base context: length-n coefficient tuples
+# (low degree first) modulo x^n.  This is the arithmetic of K[t]/(t^N) and
+# of K[u]/(u^e), whatever the coefficient context K.
+# ----------------------------------------------------------------------
+def series_mul(K, n, a, b):
+    """Product of two truncated series modulo x^n."""
+    out = [K.zero()] * n
+    for i, x in enumerate(a):
+        if K.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            if i + j >= n:
+                break
+            out[i + j] = K.add(out[i + j], K.mul(x, y))
+    return tuple(out)
+
+
+def series_inv(K, n, a):
+    """Inverse modulo x^n of a series whose constant term is a unit of K."""
+    c0inv = K.inv(a[0])
+    out = [K.zero()] * n
+    out[0] = c0inv
+    for m in range(1, n):
+        acc = K.zero()
+        for i in range(1, m + 1):
+            if i < len(a) and not K.is_zero(a[i]):
+                acc = K.add(acc, K.mul(a[i], out[m - i]))
+        out[m] = K.neg(K.mul(c0inv, acc))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .deform import (
     with_precision_retry,
 )
 from .dieudonne import labeled_with_m1
-from .errors import DegenerateF, InvalidInput, NotFound
+from .errors import DegenerateF, InvalidInput, LatModelError, NotFound
 from .invariants import StratumLabel, hodge, naive_leq, stratum_label
 from .umod import Subspace
 
@@ -60,7 +60,8 @@ def census(e, ctx):
     for c in enumerate_chains(e, ctx):
         counts[stratum_label(c).linear()] += 1
     out = Census(e, ctx.order, counts)
-    assert out.total() == (ctx.order + 1) ** e
+    if out.total() != (ctx.order + 1) ** e:
+        raise AssertionError("census mass is not (q+1)^e (bug)")
     return out
 
 
@@ -491,7 +492,7 @@ def _build_m1_layer(report, e, ctx, model, groups):
             continue
         try:
             fam = with_precision_retry(fn, model, point)
-        except Exception as exc:
+        except LatModelError as exc:
             report.failures.append(
                 {
                     "edge": [lo.serialize(), hi.serialize()],
@@ -520,7 +521,7 @@ def _build_m1_layer(report, e, ctx, model, groups):
         target = refined.with_m1("1")
         try:
             fam = with_precision_retry(invert_m1, model, point)
-        except Exception as exc:
+        except LatModelError as exc:
             report.failures.append(
                 {
                     "edge": [refined.serialize(), target.serialize()],
@@ -580,7 +581,8 @@ def product_census(censuses):
     expected = 1
     for cen in censuses:
         expected *= cen.total()
-    assert out.total() == expected
+    if out.total() != expected:
+        raise AssertionError("product census mass is not the product of masses (bug)")
     return out
 
 

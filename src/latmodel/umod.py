@@ -16,7 +16,7 @@ caller can re-parametrize, never silently dividing by a non-unit.
 from __future__ import annotations
 
 from .errors import InvalidInput, NonUnitPivot
-from .scalars import Scalar
+from .scalars import Scalar, series_mul
 
 
 class UVec:
@@ -118,6 +118,23 @@ class UVec:
         return "UVec<" + (" + ".join(terms) or "0") + ">"
 
 
+def apply_matrix(entries, vec):
+    """The K[u]-linear image M * vec of a 2x2 matrix over K[u]/(u^N).
+
+    ``entries`` holds the four length-N coefficient tuples as
+    ((m11, m12), (m21, m22)) over the vector's context.
+    """
+    ctx, N = vec.ctx, vec.N
+    a, b = vec.coeffs[:N], vec.coeffs[N:]
+    out = ()
+    for m1, m2 in entries:
+        out += tuple(
+            ctx.add(x, y)
+            for x, y in zip(series_mul(ctx, N, m1, a), series_mul(ctx, N, m2, b))
+        )
+    return UVec(ctx, N, out)
+
+
 def _rref(rows, ctx, ncols):
     """Reduced row echelon form; returns (rows, pivot columns).
 
@@ -209,6 +226,16 @@ class Subspace:
                 raise InvalidInput("mixed contexts or sizes in span")
         rows, pivots = _rref([v.coeffs for v in vectors], ctx, 2 * N)
         return cls(ctx, N, rows, pivots)
+
+    @classmethod
+    def module_span(cls, ctx, N, vectors):
+        """The K[u]-submodule generated by vectors: close under u, then span."""
+        closed = []
+        for v in vectors:
+            while not v.is_zero():
+                closed.append(v)
+                v = v.u_mult()
+        return cls.span(ctx, N, closed)
 
     @classmethod
     def zero(cls, ctx, N):

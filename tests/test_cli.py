@@ -199,6 +199,14 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert code == EXIT_USAGE and "nonsense" in err
 
 
+def test_config_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("e = 2\n")
+    code, out, _ = run(["census", f"--config={cfg}"], capsys)
+    assert code == EXIT_OK
+    assert out.strip().split("\n")[1].startswith("2,2,")
+
+
 def test_invalid_q_list(capsys):
     code, _, err = run(["census", "--q", "2,banana"], capsys)
     assert code == EXIT_USAGE

@@ -213,3 +213,15 @@ def test_family_serialization_has_trace_and_certificate():
     obj2 = sigma_collapse(model, chain).serialize()
     assert obj2["mode"] == "truncated"
     assert obj2["certificate"]["label"].startswith("lambda=(2,2)")
+
+
+def test_search_witness_propagates_bug_traps(monkeypatch):
+    # only library errors mark a candidate as degenerate; a bug trap raised
+    # while specializing must reach the caller, not become NotFound
+    def broken(self):
+        raise AssertionError("planted bug")
+
+    monkeypatch.setattr(FamilyChain, "specialize", broken)
+    ch = _worked_chain(F2)
+    with pytest.raises(AssertionError, match="planted bug"):
+        search_witness(ch, StratumLabel((3, 0), set()))

@@ -2,9 +2,10 @@
 
 import pytest
 
+from latmodel import strata
 from latmodel.dieudonne import ag_witness
 from latmodel.errors import InvalidInput
-from latmodel.invariants import StratumLabel
+from latmodel.invariants import StratumLabel, stratum_label
 from latmodel.scalars import prime_field, small_field
 from latmodel.strata import (
     EXPECTED_NONEMPTY_E4,
@@ -23,6 +24,7 @@ from latmodel.strata import (
     product_census,
     product_census_csv,
     build_poset,
+    PosetReport,
 )
 
 F2 = prime_field(2)
@@ -138,6 +140,20 @@ def test_build_poset_m1_layer_present_with_model():
     methods = {e["method"] for e in rep.m1_edges}
     assert "invert-m1" in methods
     assert any(m.startswith("732") for m in methods)
+
+
+@pytest.mark.parametrize("recipe", ["sigma_collapse", "invert_m1"])
+def test_m1_layer_propagates_bug_traps(recipe, monkeypatch):
+    # a failing recipe is a report failure only for library errors; a bug
+    # trap must propagate out of the m1 layer
+    def broken(*args, **kwargs):
+        raise AssertionError("planted bug")
+
+    monkeypatch.setattr(strata, recipe, broken)
+    model, chain = ag_witness(2, 1, F2)
+    groups = {stratum_label(chain): [chain]}
+    with pytest.raises(AssertionError, match="planted bug"):
+        strata._build_m1_layer(PosetReport(4, 2), 4, F2, model, groups)
 
 
 def test_product_census_multiplies():
