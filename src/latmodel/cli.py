@@ -34,13 +34,10 @@ from .strata import (
     build_poset,
     census,
     census_csv,
-    chain_counts_by_T,
-    chain_counts_by_hodge,
     degree_fit,
     emptiness_table,
     fiber_constancy,
     hodge_step_check,
-    lattice_counts_by_hodge,
 )
 from .umod import Subspace, UVec
 
@@ -118,11 +115,19 @@ def _suite_hodge(e, qs):
         {"check": "invariant-values-N3", "ok": passed, "got": got}
     )
 
+    # one census per (e, q); the totals and the fits both read it
+    censuses = {}
+
+    def cen(ee, q):
+        if (ee, q) not in censuses:
+            censuses[ee, q] = census(ee, small_field(q))
+        return censuses[ee, q]
+
     # census totals
     totals_ok = True
     for ee in range(1, 5):
         for q in (2, 3, 4, 5):
-            if census(ee, small_field(q)).total() != (q + 1) ** ee:
+            if cen(ee, q).total() != (q + 1) ** ee:
                 totals_ok = False
     ok &= totals_ok
     report["checks"].append({"check": "census-totals", "ok": totals_ok})
@@ -131,12 +136,12 @@ def _suite_hodge(e, qs):
     fits = []
     by_lam, by_lat, by_T = {}, {}, {}
     for q in FIT_SAMPLE_Q:
-        ctx = small_field(q)
-        for lam, n in chain_counts_by_hodge(e, ctx).items():
+        c = cen(e, q)
+        for lam, n in c.chain_counts_by_hodge().items():
             by_lam.setdefault(lam, {})[q] = n
-        for lam, n in lattice_counts_by_hodge(e, ctx).items():
+        for lam, n in c.lattice_counts_by_hodge().items():
             by_lat.setdefault(lam, {})[q] = n
-        for T, n in chain_counts_by_T(e, ctx).items():
+        for T, n in c.chain_counts_by_T().items():
             by_T.setdefault(T, {})[q] = n
     for lam, samples in sorted(by_lam.items()):
         f = degree_fit(samples)
@@ -547,9 +552,10 @@ def _build_parser():
     return ap
 
 
-def _apply_config(ap, argv):
-    """Pre-scan for --config FILE or --config=FILE and install its values
-    as defaults."""
+def _with_config(argv):
+    """Expand --config FILE or --config=FILE: each ``key = value`` line
+    becomes the flag ``--key=value``, placed before the explicit flags so
+    that those win and argparse checks every value's type and choices."""
     for idx, arg in enumerate(argv):
         if arg.startswith("--config="):
             path = arg[len("--config="):]
@@ -558,8 +564,8 @@ def _apply_config(ap, argv):
             path = argv[idx + 1]
             break
     else:
-        return
-    defaults = {}
+        return argv
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -568,29 +574,18 @@ def _apply_config(ap, argv):
             if "=" not in line:
                 raise LatModelError(f"malformed config line {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            defaults[key.replace("-", "_")] = val
-    known = set()
-    for sp in ap._subparsers._group_actions[0].choices.values():
-        for action in sp._actions:
-            known.add(action.dest)
-    unknown = set(defaults) - known
-    if unknown:
-        raise LatModelError(f"unknown config keys: {sorted(unknown)}")
-    for sp in ap._subparsers._group_actions[0].choices.values():
-        for action in sp._actions:
-            if action.dest in defaults:
-                val = defaults[action.dest]
-                if action.type is int:
-                    val = int(val)
-                action.default = val
+            flags.append(f"--{key}={val}")
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = _build_parser()
     try:
-        _apply_config(ap, argv)
-        args = ap.parse_args(argv)
+        try:
+            args = ap.parse_args(_with_config(argv))
+        except SystemExit as exc:  # argparse has printed usage and error
+            return exc.code
         if args.jobs < 1:
             raise LatModelError("--jobs must be at least 1")
         if args.e < 1:

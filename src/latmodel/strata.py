@@ -34,14 +34,19 @@ from .umod import Subspace
 # censuses
 # ----------------------------------------------------------------------
 class Census:
-    """Counts of chains per linear stratum label at one (e, q)."""
+    """One exhaustive pass at (e, q): chains per linear stratum label, and
+    distinct endpoint lattices per Hodge pair.
 
-    __slots__ = ("e", "q", "counts")
+    Every count the dimension formulas interpolate in q derives from it.
+    """
 
-    def __init__(self, e, q, counts):
+    __slots__ = ("e", "q", "counts", "lattices")
+
+    def __init__(self, e, q, counts, lattices):
         self.e = e
         self.q = q
         self.counts = dict(counts)
+        self.lattices = dict(lattices)
 
     def total(self):
         return sum(self.counts.values())
@@ -53,13 +58,39 @@ class Census:
         for lab in self.labels():
             yield (self.e, self.q, lab, self.counts[lab])
 
+    def chain_counts_by_hodge(self):
+        """Chains per Hodge pair of the endpoint."""
+        out = Counter()
+        for lab, n in self.counts.items():
+            out[lab.lam] += n
+        return dict(out)
+
+    def chain_counts_by_T(self):
+        """Chains per vanishing set T, as a sorted tuple."""
+        out = Counter()
+        for lab, n in self.counts.items():
+            out[tuple(sorted(lab.T))] += n
+        return dict(out)
+
+    def lattice_counts_by_hodge(self):
+        """Endpoint lattices (distinct omega^(e)) per Hodge pair."""
+        return dict(self.lattices)
+
+
+def _labelled_chains(e, ctx):
+    """The enumerate-and-label pass: (chain, linear label) for every chain."""
+    for c in enumerate_chains(e, ctx):
+        yield c, stratum_label(c).linear()
+
 
 def census(e, ctx):
     """Exhaustive stratum census; total mass is (q+1)^e."""
     counts = Counter()
-    for c in enumerate_chains(e, ctx):
-        counts[stratum_label(c).linear()] += 1
-    out = Census(e, ctx.order, counts)
+    tops = {}
+    for c, lab in _labelled_chains(e, ctx):
+        counts[lab] += 1
+        tops[c.top.rows] = lab.lam
+    out = Census(e, ctx.order, counts, Counter(tops.values()))
     if out.total() != (ctx.order + 1) ** e:
         raise AssertionError("census mass is not (q+1)^e (bug)")
     return out
@@ -68,8 +99,8 @@ def census(e, ctx):
 def census_by_point(e, ctx):
     """Census that also keeps the chains, grouped by label."""
     groups = {}
-    for c in enumerate_chains(e, ctx):
-        groups.setdefault(stratum_label(c).linear(), []).append(c)
+    for c, lab in _labelled_chains(e, ctx):
+        groups.setdefault(lab, []).append(c)
     return groups
 
 
@@ -219,25 +250,17 @@ def degree_fit(samples):
     return DegreeFit(points, coeffs, degree, stable)
 
 
+# one-shot forms of the Census derivations, for a single (e, q)
 def chain_counts_by_hodge(e, ctx):
-    counts = Counter()
-    for c in enumerate_chains(e, ctx):
-        counts[hodge(c.top)] += 1
-    return dict(counts)
+    return census(e, ctx).chain_counts_by_hodge()
 
 
 def lattice_counts_by_hodge(e, ctx):
-    counts = Counter()
-    for w in pel_lattices(e, ctx):
-        counts[hodge(w)] += 1
-    return dict(counts)
+    return census(e, ctx).lattice_counts_by_hodge()
 
 
 def chain_counts_by_T(e, ctx):
-    counts = Counter()
-    for c in enumerate_chains(e, ctx):
-        counts[tuple(sorted(stratum_label(c).T))] += 1
-    return dict(counts)
+    return census(e, ctx).chain_counts_by_T()
 
 
 # ----------------------------------------------------------------------

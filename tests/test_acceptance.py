@@ -34,9 +34,6 @@ from latmodel.strata import (
     emptiness_table,
     fiber_constancy,
     hodge_step_check,
-    chain_counts_by_hodge,
-    chain_counts_by_T,
-    lattice_counts_by_hodge,
     product_census,
 )
 from latmodel.umod import Subspace, UVec
@@ -172,12 +169,12 @@ def test_dimension_degrees_by_integer_interpolation():
         # q = 8 gives a sixth point so even degree-4 fits are checked
         # by leave-one-out agreement
         for q in (2, 3, 4, 5, 7, 8):
-            ctx = small_field(q)
-            for lam, n in chain_counts_by_hodge(e, ctx).items():
+            cen = census(e, small_field(q))
+            for lam, n in cen.chain_counts_by_hodge().items():
                 by_lam.setdefault(lam, {})[q] = n
-            for lam, n in lattice_counts_by_hodge(e, ctx).items():
+            for lam, n in cen.lattice_counts_by_hodge().items():
                 by_lat.setdefault(lam, {})[q] = n
-            for T, n in chain_counts_by_T(e, ctx).items():
+            for T, n in cen.chain_counts_by_T().items():
                 by_T.setdefault(T, {})[q] = n
         for lam, samples in by_lam.items():
             fit = degree_fit(samples)

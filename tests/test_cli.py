@@ -207,6 +207,18 @@ def test_config_equals_form(tmp_path, capsys):
     assert out.strip().split("\n")[1].startswith("2,2,")
 
 
+@pytest.mark.parametrize(
+    "line, flag", [("e = abc", "--e"), ("format = xml", "--format")]
+)
+def test_ill_typed_config_value_is_usage_error(tmp_path, capsys, line, flag):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(["census", "--config", str(cfg)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert any("error:" in l and flag in l for l in err.splitlines())
+
+
 def test_invalid_q_list(capsys):
     code, _, err = run(["census", "--q", "2,banana"], capsys)
     assert code == EXIT_USAGE

@@ -5,7 +5,9 @@ The files under ``tests/golden/`` were recorded from the library before the
 linear-algebra core was consolidated; a refactor that changes any output
 byte fails here.  ``chain_e3_q2.json`` (chain 4 of ``enumerate_chains(3,
 F_2)``, label ((2,1), {2})) and ``witness_m2_c1_q2.json`` (the output of
-``witness --m 2 --c 1 --q 2``) are inputs, not outputs.
+``witness --m 2 --c 1 --q 2``) are inputs, not outputs.  The
+``DIGEST_CASES`` have no golden file: their sha256 must equal the one
+recorded in ``perfbench/expected.json``.
 
 To re-record after an intended output change:
 
@@ -62,6 +64,13 @@ def _run(argv, dest):
     return dest.read_bytes()
 
 
+# invocations pinned only by their benchmark digest (no golden file)
+DIGEST_CASES = (
+    "verify --suite hodge --e 4 --q 2",
+    "verify --suite hasse --e 4 --q 2",
+)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output_bytes(name, tmp_path):
     assert _run(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
@@ -72,6 +81,13 @@ def test_golden_matches_benchmark_digest(name):
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))["outputs"]
     digest = hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest()
     assert digest == expected[BENCHMARK_KEYS[name]]["sha256"]
+
+
+@pytest.mark.parametrize("key", DIGEST_CASES)
+def test_output_matches_benchmark_digest(key, tmp_path):
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))["outputs"]
+    digest = hashlib.sha256(_run(key.split(), tmp_path / "out")).hexdigest()
+    assert digest == expected[key]["sha256"]
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 """Census, emptiness tables, degree fits, fibers, and the closure poset."""
 
+from collections import Counter
+
 import pytest
 
-from latmodel import strata
+from latmodel import chains, strata
+from latmodel.chains import enumerate_chains, pel_lattices
+from latmodel.cli import _suite_hodge
 from latmodel.dieudonne import ag_witness
 from latmodel.errors import InvalidInput
-from latmodel.invariants import StratumLabel, stratum_label
+from latmodel.invariants import StratumLabel, hodge, stratum_label
 from latmodel.scalars import prime_field, small_field
 from latmodel.strata import (
     EXPECTED_NONEMPTY_E4,
@@ -87,13 +91,56 @@ def test_degree_fit_exact_polynomials():
 
 
 def test_counts_by_hodge_and_T_are_polynomial_in_q():
-    for counter in (chain_counts_by_hodge, lattice_counts_by_hodge):
-        samples = {q: counter(3, ctx) for q, ctx in ((2, F2), (3, F3), (4, F4))}
+    cens = {q: census(3, ctx) for q, ctx in ((2, F2), (3, F3), (4, F4))}
+    for counter in (Census.chain_counts_by_hodge, Census.lattice_counts_by_hodge):
+        samples = {q: counter(cen) for q, cen in cens.items()}
         keys = set(samples[2])
         assert all(set(s) == keys for s in samples.values())
-    by_T = chain_counts_by_T(3, F2)
+    by_T = cens[2].chain_counts_by_T()
     assert sum(by_T.values()) == 27
     assert by_T[()] == 12  # free chains: q(q+1)^2 at q=2
+
+
+def test_census_derivations_match_direct_counts():
+    # the counts as computed before the census kept them: hodge of every
+    # chain's top, hodge of every distinct endpoint lattice, T per chain
+    for e, ctx in ((3, F3), (4, F2)):
+        cen = census(e, ctx)
+        every = enumerate_chains(e, ctx)
+        assert cen.chain_counts_by_hodge() == Counter(hodge(c.top) for c in every)
+        assert cen.lattice_counts_by_hodge() == Counter(
+            hodge(w) for w in pel_lattices(e, ctx)
+        )
+        assert cen.chain_counts_by_T() == Counter(
+            tuple(sorted(stratum_label(c).T)) for c in every
+        )
+        assert chain_counts_by_hodge(e, ctx) == cen.chain_counts_by_hodge()
+        assert lattice_counts_by_hodge(e, ctx) == cen.lattice_counts_by_hodge()
+        assert chain_counts_by_T(e, ctx) == cen.chain_counts_by_T()
+
+
+def test_hodge_suite_work_counts(monkeypatch):
+    """One enumerate-and-label pass per (e, q): 16 censuses for the totals
+    (e = 1..4, q = 2..5) plus (4, 7) for the fits; no cache across calls."""
+    counts = Counter()
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(chains, "enumerate_chains", "enumerations")  # pel_lattices
+    counted(strata, "enumerate_chains", "enumerations")
+    counted(strata, "stratum_label", "labels")
+    for _ in range(2):
+        counts.clear()
+        ok, _ = _suite_hodge(4, [2])
+        assert ok
+        assert counts == {"enumerations": 17, "labels": 6890}
 
 
 def test_fiber_constancy_and_counts():
