@@ -102,8 +102,8 @@ def test_counts_by_hodge_and_T_are_polynomial_in_q():
 
 
 def test_census_derivations_match_direct_counts():
-    # the counts as computed before the census kept them: hodge of every
-    # chain's top, hodge of every distinct endpoint lattice, T per chain
+    # direct counts: hodge of every chain's top, hodge of every endpoint
+    # lattice from pel_lattices, T of every chain's label
     for e, ctx in ((3, F3), (4, F2)):
         cen = census(e, ctx)
         every = enumerate_chains(e, ctx)
