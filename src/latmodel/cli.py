@@ -18,15 +18,13 @@ from .chains import PRChain, fiber_chains, orbits, pel_lattices
 from .deform import (
     hodge_raise,
     invert_m1,
-    linear_collapse,
-    linear_raise,
+    recipe_7_3_1,
+    recipe_7_3_2,
     search_witness,
-    sigma_collapse,
-    sigma_raise,
     with_precision_retry,
 )
 from .dieudonne import DieudonneModel, ag_witness, labeled_with_m1, m1_vanishes
-from .errors import LatModelError, NotFound
+from .errors import InvalidInput, LatModelError, NotFound
 from .invariants import StratumLabel, hodge, stratum_label
 from .scalars import ctx_from_serialized, small_field
 from .strata import (
@@ -70,24 +68,35 @@ def _parse_q_list(s):
     return qs
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load(path, key, build):
+    """build(obj) for the JSON object in path, or for its ``key`` member;
+    content that does not deserialize is invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if isinstance(obj, dict) and key in obj:
+            obj = obj[key]
+        return build(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(
+            f"{path}: not a serialized {key} ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def _load_chain(path):
-    obj = _load_json(path)
-    if "chain" in obj:
-        obj = obj["chain"]
-    ctx = ctx_from_serialized(obj)
-    return ctx, PRChain.deserialize(ctx, obj)
+    def build(obj):
+        ctx = ctx_from_serialized(obj)
+        return ctx, PRChain.deserialize(ctx, obj)
+
+    ctx, chain = _load(path, "chain", build)
+    report = chain.validate()
+    if report:
+        raise InvalidInput(f"{path}: not a valid chain: {'; '.join(report)}")
+    return ctx, chain
 
 
 def _load_model(ctx, path):
-    obj = _load_json(path)
-    if "model" in obj:
-        obj = obj["model"]
-    return DieudonneModel.deserialize(ctx, obj)
+    return _load(path, "model", lambda obj: DieudonneModel.deserialize(ctx, obj))
 
 
 # ----------------------------------------------------------------------
@@ -345,22 +354,22 @@ def _cmd_deform(args):
     recipe = args.recipe
     if recipe == "hodge-raise":
         fam = hodge_raise(chain)
-    elif recipe == "731-1":
-        fam = linear_collapse(chain)
-    elif recipe == "731-2":
-        fam = linear_raise(chain)
+    elif recipe in ("731-1", "731-2"):
+        fam = recipe_7_3_1(chain, recipe[-1])
     elif recipe in ("732-1", "732-2", "invert-m1"):
         if model is None:
             raise LatModelError(f"recipe {recipe} requires --model")
-        fn = {
-            "732-1": sigma_collapse,
-            "732-2": sigma_raise,
-            "invert-m1": invert_m1,
-        }[recipe]
-        fam = with_precision_retry(fn, model, chain, N=args.precision)
+        if recipe == "invert-m1":
+            fam = with_precision_retry(invert_m1, model, chain, N=args.precision)
+        else:
+            fam = with_precision_retry(
+                recipe_7_3_2, model, chain, recipe[-1], N=args.precision
+            )
     elif recipe == "search":
         if not args.target:
             raise LatModelError("recipe search requires --target")
+        if args.budget < 1:
+            raise LatModelError("--budget must be at least 1")
         target = StratumLabel.parse(args.target)
         fam = search_witness(chain, target, budget=args.budget)
     else:
@@ -434,9 +443,6 @@ def _add_common(sp, e_default=4, q_default="2"):
         "--q", default=q_default, help="comma-separated base field sizes"
     )
     sp.add_argument("--out", default=None, help="output file (default stdout)")
-    sp.add_argument(
-        "--seed", type=int, default=0, help="random seed (all runs are deterministic)"
-    )
     sp.add_argument(
         "--jobs",
         type=int,

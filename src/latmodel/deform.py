@@ -10,15 +10,18 @@ Provided constructions:
 
 * ``hodge_raise``    -- raises the Hodge invariant of the endpoint by
   (1,-1): the constructive one-step generization.  Deformed generators
-  are tracked in the window u^-1 Lambda_0 / u^(e+1) Lambda_0 (u-exponent
-  slots -1..e per coordinate), where every step of the construction is
-  exact; a final containment assertion guards the divisions by u.
-* ``linear_collapse`` / ``linear_raise`` (CLI tokens 731-1 / 731-2) --
-  the two linear e=4 recipes: break m2 and m4 within lambda=(2,2), then
-  raise (2,2) to (3,1) keeping only m3 = 0.
-* ``sigma_collapse`` / ``sigma_raise`` (CLI tokens 732-1 / 732-2) -- the
-  same moves keeping the sigma-linear invariant m1 = 0 along the family,
-  over K[t]/(t^N).
+  are tracked in the window u^-1 Lambda_0 / u^(e+1) Lambda_0, held as
+  E_(e+2) (slot d of a coordinate is u^(d-1)), where every step of the
+  construction is exact; the divisions by u and the final projection to
+  E_e raise ContainmentViolated if a generator leaves Lambda_0.
+* the four named e = 4 recipes, one construction (``_move_level``): level
+  k alone moves, its complement generator v_k becoming v_k + t aux with
+  aux in u^-1(omega(k-1)) and u^p aux != 0, and every other level is the
+  chain's.  ``linear_collapse`` / ``linear_raise`` (CLI tokens 731-1 /
+  731-2) take (k, p) = (2, 1): break m2 and m4 within lambda=(2,2), and
+  (4, 2): raise (2,2) to (3,1) keeping only m3 = 0, over K(t).
+  ``sigma_collapse`` / ``sigma_raise`` (732-1 / 732-2) make the same
+  moves over K[t]/(t^N) and certify that m1 = 0 holds along the family.
 * ``invert_m1``      -- transports the whole chain by g(t) = 1 + tA: all
   linear invariants stay literally constant while omega^(1) leaves F^(1)
   at first order (the Frobenius of t is t^p, so F^(1) of the family is
@@ -67,6 +70,12 @@ def lift_sub(w, tctx):
     return w.map_coeffs(tctx.lift, tctx)
 
 
+def _u_power(v, n):
+    for _ in range(n):
+        v = v.u_mult()
+    return v
+
+
 def _complement_generator(big, small):
     """First canonical-basis vector of big outside small (reduced form)."""
     for v in big.basis():
@@ -94,76 +103,35 @@ def _solve_linear(cols, target, ctx):
 
 
 # ----------------------------------------------------------------------
-# window vectors: u-exponent slots -1 .. e per coordinate
+# the window u^-1 Lambda_0 / u^(e+1) Lambda_0 as E_(e+2): slot d of a
+# coordinate holds u^(d-1), so multiplication by u is UVec.u_mult
 # ----------------------------------------------------------------------
-class Window:
-    """Exact working space u^-1 Lambda_0 / u^(e+1) Lambda_0."""
+def _pad(v):
+    """The window image of v in E_e."""
+    z = (v.ctx.zero(),)
+    e = v.N
+    return UVec(v.ctx, e + 2, z + v.coeffs[:e] + z + z + v.coeffs[e:] + z)
 
-    __slots__ = ("ctx", "e", "B")
 
-    def __init__(self, ctx, e):
-        self.ctx = ctx
-        self.e = e
-        self.B = e + 2  # slots per coordinate, exponents -1..e
+def _below_zero_empty(x):
+    return x.ctx.is_zero(x.coeffs[0]) and x.ctx.is_zero(x.coeffs[x.N])
 
-    def zero(self):
-        return (self.ctx.zero(),) * (2 * self.B)
 
-    def from_uvec(self, v):
-        z = self.ctx.zero()
-        a = (z,) + v.coeffs[: self.e] + (z,)
-        b = (z,) + v.coeffs[self.e :] + (z,)
-        return a + b
+def _project(x):
+    """Back to E_e (mod u^e); the u^-1 slots must be empty."""
+    if not _below_zero_empty(x):
+        raise ContainmentViolated("window vector not inside Lambda_0")
+    B = x.N
+    return UVec(x.ctx, B - 2, x.coeffs[1 : B - 1] + x.coeffs[B + 1 : 2 * B - 1])
 
-    def monomial_exp_e(self, coord):
-        """u^e e_coord (the generator of u^e Lambda_0 on one coordinate)."""
-        w = list(self.zero())
-        w[(coord - 1) * self.B + self.B - 1] = self.ctx.one()
-        return tuple(w)
 
-    def add(self, x, y):
-        return tuple(self.ctx.add(a, b) for a, b in zip(x, y))
-
-    def sub(self, x, y):
-        return tuple(self.ctx.sub(a, b) for a, b in zip(x, y))
-
-    def scale(self, c, x):
-        return tuple(self.ctx.mul(c, a) for a in x)
-
-    def is_zero(self, x):
-        return all(self.ctx.is_zero(a) for a in x)
-
-    def shift_up(self, x):
-        """Multiplication by u (content above exponent e is dropped)."""
-        z = self.ctx.zero()
-        B = self.B
-        return (z,) + x[: B - 1] + (z,) + x[B : 2 * B - 1]
-
-    def shift_down(self, x):
-        """Division by u; requires an empty exponent -1 slot."""
-        B = self.B
-        if not (self.ctx.is_zero(x[0]) and self.ctx.is_zero(x[B])):
-            raise ContainmentViolated("division by u exits the window")
-        z = self.ctx.zero()
-        return x[1:B] + (z,) + x[B + 1 :] + (z,)
-
-    def to_uvec(self, x):
-        """Project to E_e (mod u^e); the exponent -1 slot must be empty."""
-        B = self.B
-        if not (self.ctx.is_zero(x[0]) and self.ctx.is_zero(x[B])):
-            raise ContainmentViolated("window vector not inside Lambda_0")
-        return UVec(self.ctx, self.e, x[1:B - 1] + x[B + 1 : 2 * B - 1])
-
-    def lattice_cols(self, w):
-        """Window images of a k-basis of the lattice over a subspace W.
-
-        The lattice is the preimage of W in Lambda_0; in the window it is
-        spanned by W's basis plus u^e e_1, u^e e_2.
-        """
-        cols = [self.from_uvec(v) for v in w.basis()]
-        cols.append(self.monomial_exp_e(1))
-        cols.append(self.monomial_exp_e(2))
-        return cols
+def _div_u(x):
+    """Division by u; the u^-1 slots must be empty."""
+    if not _below_zero_empty(x):
+        raise ContainmentViolated("division by u exits the window")
+    z = (x.ctx.zero(),)
+    B = x.N
+    return UVec(x.ctx, B, x.coeffs[1:B] + z + x.coeffs[B + 1 :] + z)
 
 
 # ----------------------------------------------------------------------
@@ -248,11 +216,7 @@ def _snf_adapted(w):
     g_small = UVec(ctx, e, V[0][0] + V[1][0])  # exponent a2 (smaller)
     g_big = UVec(ctx, e, V[0][1] + V[1][1])  # exponent a1 (larger)
     # verify: W equals the module span of u^a1 g_big, u^a2 g_small
-    shifted = []
-    for g, s in ((g_big, a1), (g_small, a2)):
-        for _ in range(s):
-            g = g.u_mult()
-        shifted.append(g)
+    shifted = [_u_power(g_big, a1), _u_power(g_small, a2)]
     if not Subspace.module_span(ctx, e, shifted).equals(w):
         raise AssertionError("adapted basis reconstruction failed (bug)")
     return g_big, g_small, a1, a2
@@ -304,22 +268,7 @@ class FamilyChain:
         return PRChain(self.tctx, self.e, self.levels)
 
     def validate(self):
-        """Like PRChain.validate, but u-stability is checked generator by
-        generator (u-images of moved levels need not be free over
-        K[t]/(t^N), so they cannot be re-spanned there)."""
-        report = []
-        zero = Subspace.zero(self.tctx, self.e)
-        for i in range(1, self.e + 1):
-            w = self.levels[i - 1]
-            prev = self.levels[i - 2] if i > 1 else zero
-            if w.dim != i:
-                report.append(f"level {i}: dim {w.dim} != {i}")
-                continue
-            if i > 1 and not w.contains(prev):
-                report.append(f"level {i}: does not contain level {i - 1}")
-            if not all(prev.contains_vec(v.u_mult()) for v in w.basis()):
-                report.append(f"level {i}: u*level not inside level {i - 1}")
-        return report
+        return self.as_chain().validate()
 
     def specialize(self):
         if self.mode == "truncated":
@@ -470,70 +419,57 @@ def hodge_raise(chain):
     f1, f2, a1, a2 = _snf_adapted(chain.level(k0 - 1))
     if (a1, a2) != (a + 1, b):
         raise AssertionError(f"adapted exponents {(a1, a2)} != {(a + 1, b)} (bug)")
-    win = Window(ctx, e)
 
-    # complement generators v_k (window vectors), with v_k0 = u^a f1
-    ua_f1 = f1
-    for _ in range(a):
-        ua_f1 = ua_f1.u_mult()
+    # complement generators v_k, with v_k0 = u^a f1
+    ua_f1 = _u_power(f1, a)
     if not chain.level(k0).contains_vec(ua_f1) or chain.level(k0 - 1).contains_vec(ua_f1):
         raise AssertionError("u^a f1 is not a valid complement generator (bug)")
-    v = {k0: win.from_uvec(ua_f1)}
     v_uvec = {k0: ua_f1}
     for k in range(k0 + 1, e + 1):
-        g = _complement_generator(chain.level(k), chain.level(k - 1))
-        v[k] = win.from_uvec(g)
-        v_uvec[k] = g
+        v_uvec[k] = _complement_generator(chain.level(k), chain.level(k - 1))
+    v = {k: _pad(g) for k, g in v_uvec.items()}
 
-    # decompositions u v_(k0+n) = w_n + sum x_(n,l) v_(k0+l)
-    lat = win.lattice_cols(chain.level(k0 - 1))
+    # decompositions u v_(k0+n) = w_n + sum x_(n,l) v_(k0+l); in the window
+    # the lattice over Lambda_(k0-1) is spanned by its basis and u^e e_1, u^e e_2
+    lat = [_pad(r) for r in chain.level(k0 - 1).basis()]
+    lat += [UVec.monomial(ctx, e + 2, coord, e + 1) for coord in (1, 2)]
     x = {}
     w = {}
     J = set()
     for n in range(1, e - k0 + 1):
-        target = win.shift_up(v[k0 + n])
-        cols = lat + [v[k0 + l] for l in range(n)]
-        sol = _solve_linear(cols, target, ctx)
+        target = v[k0 + n].u_mult()
+        prev = [v[k0 + l] for l in range(n)]
+        sol = _solve_linear([c.coeffs for c in lat + prev], target.coeffs, ctx)
         if sol is None:
             raise AssertionError("decomposition has no solution (bug)")
         xs = sol[len(lat):]
         x[n] = xs
         # lattice part w_n = target - sum x v
         wn = target
-        for c, col in zip(xs, [v[k0 + l] for l in range(n)]):
+        for c, col in zip(xs, prev):
             if not ctx.is_zero(c):
-                wn = win.sub(wn, win.scale(c, col))
+                wn = wn.add(col.scale(ctx.neg(c)))
         w[n] = wn
         if ctx.is_zero(xs[n - 1]):
             J.add(n)
 
     # deform over K(t)
     kt = rational_ctx(ctx)
-    wint = Window(kt, e)
     trep = kt.t()
-
-    def liftw(x0):
-        return tuple(kt.lift(c) for c in x0)
-
-    ub1_f2 = f2
-    for _ in range(b - 1):
-        ub1_f2 = ub1_f2.u_mult()
-    vt = {k0: wint.add(liftw(v[k0]), wint.scale(trep, liftw(win.from_uvec(ub1_f2))))}
+    ub1_f2 = _pad(_u_power(f2, b - 1))
+    vt = {k0: lift_vec(v[k0], kt).add(lift_vec(ub1_f2, kt).scale(trep))}
     for n in range(1, e - k0 + 1):
         k = k0 + n
         if n in J:
-            vt[k] = wint.add(
-                liftw(v[k]), wint.scale(trep, wint.shift_down(vt[k - 1]))
-            )
+            vt[k] = lift_vec(v[k], kt).add(_div_u(vt[k - 1]).scale(trep))
         else:
-            acc = wint.shift_down(liftw(w[n]))
+            acc = _div_u(lift_vec(w[n], kt))
             for l in range(n):
                 c = kt.lift(x[n][l])
                 if not kt.is_zero(c):
-                    acc = wint.add(
-                        acc, wint.scale(c, wint.shift_down(vt[k0 + l]))
-                    )
+                    acc = acc.add(_div_u(vt[k0 + l]).scale(c))
             vt[k] = acc
+    vt = {k: _project(vec) for k, vec in vt.items()}
 
     base_rows = [lift_vec(r, kt) for r in chain.level(k0 - 1).basis()]
     levels = []
@@ -541,113 +477,97 @@ def hodge_raise(chain):
         if k < k0:
             levels.append(lift_sub(chain.level(k), kt))
         else:
-            gens = base_rows + [wint.to_uvec(vt[kk]) for kk in range(k0, k + 1)]
+            gens = base_rows + [vt[kk] for kk in range(k0, k + 1)]
             levels.append(Subspace.span(kt, e, gens))
     fam = FamilyChain("exact_rational", ctx, kt, e, levels)
-    if fam.validate():
-        raise AssertionError("deformed family is not a valid chain (bug)")
-    if fam.specialize() != chain:
-        raise AssertionError("family does not specialize to its input (bug)")
+    _check_family(fam, chain)
     gen = fam.generic_label()
     if gen.lam != (i + 1, j - 1):
         raise AssertionError(f"generic hodge {gen.lam} != {(i + 1, j - 1)} (bug)")
     if nilpotency_index(fam.levels[-1]) != s[e] + 1:
         raise AssertionError("deformed nilpotency index is not s_e + 1 (bug)")
     fam.trace = DeformationTrace(
-        s[1:], k0, f1, f2, a, b,
-        {k: v_uvec[k] for k in v_uvec},
-        {n: win.to_uvec(w[n]) for n in w},
-        x, J,
-        vt={k: wint.to_uvec(vt[k]) for k in vt},
+        s[1:], k0, f1, f2, a, b, v_uvec,
+        {n: _project(w[n]) for n in w},
+        x, J, vt=vt,
     )
     return fam
 
 
+def _check_family(fam, chain):
+    """Bug traps shared by every construction: the family is a valid chain
+    and specializes to its input."""
+    if fam.validate():
+        raise AssertionError("constructed family is not a valid chain (bug)")
+    if fam.specialize() != chain:
+        raise AssertionError("family does not specialize to its input (bug)")
+
+
 # ----------------------------------------------------------------------
-# linear recipes at e = 4 (exact_rational)
+# the named recipes at e = 4: move one level by t * aux
 # ----------------------------------------------------------------------
 def _require_label(chain, lam, T):
+    if chain.e != 4:
+        raise InvalidInput("recipe defined for e = 4")
     lab = stratum_label(chain)
     if lab.lam != lam or lab.T != frozenset(T):
         raise InvalidInput(
             f"recipe precondition: label {lab.serialize()} is not "
             f"lambda={lam}, T={sorted(T)}"
         )
-    return lab
 
 
-def linear_collapse(chain):
-    """((2,2), {2,3,4}) -> generic ((2,2), {3}): break m2 and m4.
+def _move_level(chain, k, power, tctx):
+    """Levels of the family that moves level k alone, and the moved generator.
 
-    Moves only level two: omega~(2) = omega(1) + <v2 + t v> with
-    v in u^-1(omega(1)) outside E[u]; levels 3 and 4 are the constant
-    canonical subspaces u^-1(omega(1)) and E[u^2].
+    The complement generator v_k of omega(k) becomes v_k + t aux, with aux
+    the first basis vector of u^-1(omega(k-1)) whose u^power-image is
+    nonzero; every other level is the chain's own, lifted to tctx.
     """
-    ctx, e = chain.ctx, chain.e
-    if e != 4:
-        raise InvalidInput("recipe defined for e = 4")
-    _require_label(chain, (2, 2), {2, 3, 4})
-    pre1 = chain.level(1).u_preimage()
-    if not pre1.equals(chain.level(3)):
-        raise AssertionError("omega(3) != u^-1(omega(1)) on this stratum (bug)")
-    eu2 = Subspace.u_power_kernel(ctx, e, 2)
-    if not eu2.equals(chain.level(4)):
-        raise AssertionError("omega(4) != E[u^2] on this stratum (bug)")
-    aux = next((v for v in pre1.basis() if not v.u_mult().is_zero()), None)
-    if aux is None:
-        raise NoValidAuxVector("u^-1(omega(1)) lies inside E[u]")
-    v2 = _complement_generator(chain.level(2), chain.level(1))
-    kt = rational_ctx(ctx)
-    trep = kt.t()
-    l1 = lift_sub(chain.level(1), kt)
-    moved = lift_vec(v2, kt).add(lift_vec(aux, kt).scale(trep))
-    l2 = Subspace.span(kt, e, l1.basis() + [moved])
-    l3 = lift_sub(pre1, kt)
-    l4 = lift_sub(eu2, kt)
-    fam = FamilyChain("exact_rational", ctx, kt, e, [l1, l2, l3, l4])
-    _finalize_exact(fam, chain, (2, 2), {3})
-    return fam
+    pre = chain.level(k - 1).u_preimage()
+    for aux in pre.basis():
+        if not _u_power(aux, power).is_zero():
+            break
+    else:
+        raise NoValidAuxVector(f"u^-1(omega({k - 1})) lies inside E[u^{power}]")
+    vk = _complement_generator(chain.level(k), chain.level(k - 1))
+    moved = lift_vec(vk, tctx).add(lift_vec(aux, tctx).scale(tctx.t()))
+    levels = [lift_sub(w, tctx) for w in chain.levels]
+    below = levels[k - 2].basis() if k > 1 else []
+    levels[k - 1] = Subspace.span(tctx, chain.e, below + [moved])
+    return levels, moved
 
 
-def linear_raise(chain):
-    """((2,2), {3}) -> generic ((3,1), {3}): raise the endpoint invariant.
-
-    Moves only level four: omega~(4) = omega(3) + <v4 + t v> with
-    v in u^-1(omega(3)) outside E[u^2], so u^2(v4 + t v) != 0 generically.
-    """
-    ctx, e = chain.ctx, chain.e
-    if e != 4:
-        raise InvalidInput("recipe defined for e = 4")
-    _require_label(chain, (2, 2), {3})
-    pre3 = chain.level(3).u_preimage()
-    aux = next(
-        (v for v in pre3.basis() if not v.u_mult().u_mult().is_zero()), None
-    )
-    if aux is None:
-        raise NoValidAuxVector("u^-1(omega(3)) lies inside E[u^2]")
-    v4 = _complement_generator(chain.level(4), chain.level(3))
-    kt = rational_ctx(ctx)
-    trep = kt.t()
-    l1 = lift_sub(chain.level(1), kt)
-    l2 = lift_sub(chain.level(2), kt)
-    l3 = lift_sub(chain.level(3), kt)
-    moved = lift_vec(v4, kt).add(lift_vec(aux, kt).scale(trep))
-    l4 = Subspace.span(kt, e, l3.basis() + [moved])
-    fam = FamilyChain("exact_rational", ctx, kt, e, [l1, l2, l3, l4])
-    _finalize_exact(fam, chain, (3, 1), {3})
-    return fam
-
-
-def _finalize_exact(fam, chain, lam, T):
-    if fam.validate():
-        raise AssertionError("recipe produced an invalid family (bug)")
-    if fam.specialize() != chain:
-        raise AssertionError("recipe does not specialize to its input (bug)")
+def _linear_recipe(chain, k, power, source_T, lam, T):
+    _require_label(chain, (2, 2), source_T)
+    kt = rational_ctx(chain.ctx)
+    levels, _ = _move_level(chain, k, power, kt)
+    fam = FamilyChain("exact_rational", chain.ctx, kt, chain.e, levels)
+    _check_family(fam, chain)
     gen = fam.generic_label()
     if gen.lam != lam or gen.T != frozenset(T):
         raise AssertionError(
             f"recipe generic label {gen.serialize()} != {lam}, {sorted(T)} (bug)"
         )
+    return fam
+
+
+def linear_collapse(chain):
+    """((2,2), {2,3,4}) -> generic ((2,2), {3}): break m2 and m4.
+
+    Moves only level two, by aux in u^-1(omega(1)) outside E[u]; levels 3
+    and 4 are the constant canonical subspaces u^-1(omega(1)) and E[u^2].
+    """
+    return _linear_recipe(chain, 2, 1, {2, 3, 4}, (2, 2), {3})
+
+
+def linear_raise(chain):
+    """((2,2), {3}) -> generic ((3,1), {3}): raise the endpoint invariant.
+
+    Moves only level four, by aux in u^-1(omega(3)) outside E[u^2], so
+    u^2(v4 + t aux) != 0 generically.
+    """
+    return _linear_recipe(chain, 4, 2, {3}, (3, 1), {3})
 
 
 def recipe_7_3_1(chain, variant):
@@ -659,13 +579,6 @@ def recipe_7_3_1(chain, variant):
     raise InvalidInput(f"unknown variant {variant!r}")
 
 
-# ----------------------------------------------------------------------
-# sigma-linear recipes at e = 4 (truncated mode)
-# ----------------------------------------------------------------------
-def _residual_nonzero(sub, vec):
-    return not sub.reduce(vec).is_zero()
-
-
 def _family_f_one(model_t, pre_twist_t, extra_matrix=None):
     """span of M (sigma g) w over the lifted twisted preimage basis."""
     imgs = []
@@ -675,139 +588,79 @@ def _family_f_one(model_t, pre_twist_t, extra_matrix=None):
     return Subspace.span(pre_twist_t.ctx, pre_twist_t.N, imgs)
 
 
-def sigma_collapse(model, chain, N=DEFAULT_TRUNC_PRECISION):
-    """((2,2), {2,3,4}) with m1 = 0 -> certified generic ((2,2), {3}), m1 = 0.
+def _sigma_recipe(model, chain, N, k, power, source_T, lam, T, hodge_meta):
+    """The linear move over K[t]/(t^N), certified to keep m1 = 0.
 
-    Level two moves by v2 + t alpha with alpha in u^-1(F^(1)) outside
-    E[u]; levels 1, 3, 4 are constant (omega(1) = F^(1) is pinned, and
-    F^(1) of the family is constant because omega(3) is), so m1 = 0 holds
-    identically over K[t]/(t^N).
+    m1 = 0 means F^(1) = omega(1), so the aux vector is the linear
+    recipe's.  Levels 1 and 3 stay constant (k is 2 or 4), so F^(1) of
+    the family, which depends on omega(3) only, stays pinned to level one
+    and m1 = 0 holds identically.  A raise (power 2) pins its generic
+    Hodge pair by the u^2-witness u^2(v4 + t aux) != 0.
     """
-    ctx, e = chain.ctx, chain.e
-    if e != 4:
-        raise InvalidInput("recipe defined for e = 4")
-    _require_label(chain, (2, 2), {2, 3, 4})
+    _require_label(chain, (2, 2), source_T)
     if not m1_vanishes(model, chain):
         raise InvalidInput("recipe requires m1 = 0 at the special point")
-    F1 = f_one(model, chain)
-    preF = F1.u_preimage()
-    alpha = next((v for v in preF.basis() if not v.u_mult().is_zero()), None)
-    if alpha is None:
-        raise NoValidAuxVector("u^-1(F^(1)) lies inside E[u]")
-    v2 = _complement_generator(chain.level(2), chain.level(1))
+    ctx, e = chain.ctx, chain.e
     tctx = truncated_ctx(ctx, N)
-    trep = tctx.t()
-    l1 = lift_sub(chain.level(1), tctx)
-    moved = lift_vec(v2, tctx).add(lift_vec(alpha, tctx).scale(trep))
-    l2 = Subspace.span(tctx, e, l1.basis() + [moved])
-    l3 = lift_sub(chain.level(1).u_preimage(), tctx)
-    l4 = lift_sub(Subspace.u_power_kernel(ctx, e, 2), tctx)
-    model_t = model.with_ctx(tctx, tctx.lift)
-    fam = FamilyChain("truncated", ctx, tctx, e, [l1, l2, l3, l4], model=model)
-    if fam.validate():
-        raise AssertionError("sigma recipe produced an invalid family (bug)")
-    if fam.specialize() != chain:
-        raise AssertionError("sigma recipe does not specialize correctly (bug)")
-    # m1 = 0 identically: F^(1) of the family equals the pinned level one
-    pre3_twist = lift_sub(
-        chain.level(3).u_preimage().frobenius_twist(), tctx
-    )
-    fam_f1 = _family_f_one(model_t, pre3_twist)
+    levels, moved = _move_level(chain, k, power, tctx)
+    fam = FamilyChain("truncated", ctx, tctx, e, levels, model=model)
+    _check_family(fam, chain)
+    l1, l2, l3, l4 = levels
+    pre3_twist = lift_sub(chain.level(3).u_preimage().frobenius_twist(), tctx)
+    fam_f1 = _family_f_one(model.with_ctx(tctx, tctx.lift), pre3_twist)
     if not fam_f1.equals(l1):
         raise AllMinorsVanish("family F^(1) does not match the pinned level")
     # certificates: m3, m4-containment structure and broken invariants
     checks = {
         "m3_identically_zero": l1.contains(l3.u_image()),
-        "m2_generic_nonzero": _residual_nonzero(
-            Subspace.zero(tctx, e), moved.u_mult()
-        ),
+        "m2_generic_nonzero": any(not v.u_mult().is_zero() for v in l2.basis()),
         "m4_generic_nonzero": any(
-            _residual_nonzero(l2, v.u_mult()) for v in l4.basis()
+            not l2.contains_vec(v.u_mult()) for v in l4.basis()
         ),
     }
+    if power == 2:
+        checks["hodge_u2_witness"] = not _u_power(moved, 2).is_zero()
     if not all(checks.values()):
         raise AllMinorsVanish(f"certification failed at precision {N}: {checks}")
-    cert = CertifiedLabel(
-        StratumLabel((2, 2), {3}, "0"),
+    fam.cert = CertifiedLabel(
+        StratumLabel(lam, T, "0"),
         True,
         {
             "mode": "truncated",
             "prec": N,
-            "hodge_exact": "level four is constant",
+            **hodge_meta,
             "checks": sorted(checks),
             "m1": "pinned to F^(1) identically mod t^N",
         },
     )
-    fam.cert = cert
     return fam
+
+
+def sigma_collapse(model, chain, N=DEFAULT_TRUNC_PRECISION):
+    """((2,2), {2,3,4}) with m1 = 0 -> certified generic ((2,2), {3}), m1 = 0.
+
+    The move of ``linear_collapse`` over K[t]/(t^N): level two moves by
+    t aux with aux in u^-1(F^(1)) = u^-1(omega(1)) outside E[u].
+    """
+    return _sigma_recipe(
+        model, chain, N, 2, 1, {2, 3, 4}, (2, 2), {3},
+        {"hodge_exact": "level four is constant"},
+    )
 
 
 def sigma_raise(model, chain, N=DEFAULT_TRUNC_PRECISION):
     """((2,2), {3}) with m1 = 0 -> certified generic ((3,1), {3}), m1 = 0.
 
-    Level four moves by v4 + t alpha with alpha in u^-1(omega(3)) outside
-    E[u^2]; levels 1..3 are constant so F^(1) of the family is constant
-    and m1 = 0 holds identically.  The generic Hodge pair is pinned by a
-    u^2-witness plus the emptiness of ((4,0), {3}).
+    The move of ``linear_raise`` over K[t]/(t^N).  The generic Hodge pair
+    is pinned by a u^2-witness plus the emptiness of ((4,0), {3}).
     """
-    ctx, e = chain.ctx, chain.e
-    if e != 4:
-        raise InvalidInput("recipe defined for e = 4")
-    _require_label(chain, (2, 2), {3})
-    if not m1_vanishes(model, chain):
-        raise InvalidInput("recipe requires m1 = 0 at the special point")
-    pre3 = chain.level(3).u_preimage()
-    alpha = next(
-        (v for v in pre3.basis() if not v.u_mult().u_mult().is_zero()), None
-    )
-    if alpha is None:
-        raise NoValidAuxVector("u^-1(omega(3)) lies inside E[u^2]")
-    v4 = _complement_generator(chain.level(4), chain.level(3))
-    tctx = truncated_ctx(ctx, N)
-    trep = tctx.t()
-    l1 = lift_sub(chain.level(1), tctx)
-    l2 = lift_sub(chain.level(2), tctx)
-    l3 = lift_sub(chain.level(3), tctx)
-    moved = lift_vec(v4, tctx).add(lift_vec(alpha, tctx).scale(trep))
-    l4 = Subspace.span(tctx, e, l3.basis() + [moved])
-    model_t = model.with_ctx(tctx, tctx.lift)
-    fam = FamilyChain("truncated", ctx, tctx, e, [l1, l2, l3, l4], model=model)
-    if fam.validate():
-        raise AssertionError("sigma recipe produced an invalid family (bug)")
-    if fam.specialize() != chain:
-        raise AssertionError("sigma recipe does not specialize correctly (bug)")
-    pre3_twist = lift_sub(pre3.frobenius_twist(), tctx)
-    fam_f1 = _family_f_one(model_t, pre3_twist)
-    if not fam_f1.equals(l1):
-        raise AllMinorsVanish("family F^(1) does not match the pinned level")
-    u2moved = moved.u_mult().u_mult()
-    checks = {
-        "m3_identically_zero": l1.contains(l3.u_image()),
-        "hodge_u2_witness": not u2moved.is_zero(),
-        "m2_generic_nonzero": any(
-            _residual_nonzero(Subspace.zero(tctx, e), v.u_mult())
-            for v in l2.basis()
-        ),
-        "m4_generic_nonzero": any(
-            _residual_nonzero(l2, v.u_mult()) for v in l4.basis()
-        ),
-    }
-    if not all(checks.values()):
-        raise AllMinorsVanish(f"certification failed at precision {N}: {checks}")
-    cert = CertifiedLabel(
-        StratumLabel((3, 1), {3}, "0"),
-        True,
+    return _sigma_recipe(
+        model, chain, N, 4, 2, {3}, (3, 1), {3},
         {
-            "mode": "truncated",
-            "prec": N,
             "pinch": "hodge >= (3,1) by u^2-witness; (4,0) excluded since m3 = 0",
             "excluded": ["lambda=(4,0)"],
-            "checks": sorted(checks),
-            "m1": "pinned to F^(1) identically mod t^N",
         },
     )
-    fam.cert = cert
-    return fam
 
 
 def recipe_7_3_2(model, chain, variant, N=DEFAULT_TRUNC_PRECISION):
@@ -874,10 +727,7 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
         for wlvl in chain.levels
     ]
     fam = FamilyChain("truncated", ctx, tctx, e, levels, model=model)
-    if fam.validate():
-        raise AssertionError("transported family is invalid (bug)")
-    if fam.specialize() != chain:
-        raise AssertionError("transport does not specialize correctly (bug)")
+    _check_family(fam, chain)
 
     # linear invariants are exactly constant: verify by unit-pivot ranks
     lab = stratum_label(chain)

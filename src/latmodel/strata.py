@@ -16,11 +16,9 @@ from .chains import enumerate_chains, fiber_chains, orbit_transports, pel_lattic
 from .deform import (
     hodge_raise,
     invert_m1,
-    linear_collapse,
-    linear_raise,
+    recipe_7_3_1,
+    recipe_7_3_2,
     search_witness,
-    sigma_collapse,
-    sigma_raise,
     transport_family,
     with_precision_retry,
 )
@@ -308,24 +306,22 @@ def _covering_edges(labels):
     return edges
 
 
-_NAMED_LINEAR = {
-    (((2, 2), frozenset({2, 3, 4})), ((2, 2), frozenset({3}))): (
-        "731-1",
-        linear_collapse,
-    ),
-    (((2, 2), frozenset({3})), ((3, 1), frozenset({3}))): (
-        "731-2",
-        linear_raise,
-    ),
+# The named e = 4 edges, keyed by (lower, upper) linear label, with the
+# variant v of the recipes that certify them: recipe_7_3_1 (CLI token
+# 731-v) on the linear layer, recipe_7_3_2 (732-v, m1 = 0 kept) on the
+# m1 layer.  Listed in variant order.
+_NAMED_EDGES = {
+    (((2, 2), frozenset({2, 3, 4})), ((2, 2), frozenset({3}))): 1,
+    (((2, 2), frozenset({3})), ((3, 1), frozenset({3}))): 2,
 }
 
 
 def _certify_edge_point(chain, lower, upper):
     """Witness family for one census point of a covering edge."""
     key = ((lower.lam, lower.T), (upper.lam, upper.T))
-    if key in _NAMED_LINEAR:
-        name, fn = _NAMED_LINEAR[key]
-        return name, fn(chain)
+    if key in _NAMED_EDGES:
+        variant = _NAMED_EDGES[key]
+        return f"731-{variant}", recipe_7_3_1(chain, variant)
     if upper.lam == (lower.lam[0] + 1, lower.lam[1] - 1):
         fam = hodge_raise(chain)
         if fam.generic_label().linear() == upper:
@@ -495,26 +491,14 @@ def _build_m1_layer(report, e, ctx, model, groups):
             witnesses.setdefault(refined, point)
     for refined in sorted(witnesses, key=StratumLabel.key):
         report.m1_nodes.append({"label": refined.serialize()})
-    named = {
-        (
-            ((2, 2), frozenset({2, 3, 4})),
-            ((2, 2), frozenset({3})),
-        ): ("732-1", sigma_collapse),
-        (
-            ((2, 2), frozenset({3})),
-            ((3, 1), frozenset({3})),
-        ): ("732-2", sigma_raise),
-    }
-    for (lo_key, hi_key), (name, fn) in sorted(
-        named.items(), key=lambda kv: kv[1][0]
-    ):
+    for (lo_key, hi_key), variant in _NAMED_EDGES.items():
         lo = StratumLabel(lo_key[0], lo_key[1], "0")
         hi = StratumLabel(hi_key[0], hi_key[1], "0")
         point = witnesses.get(lo)
         if point is None:
             continue
         try:
-            fam = with_precision_retry(fn, model, point)
+            fam = with_precision_retry(recipe_7_3_2, model, point, variant)
         except LatModelError as exc:
             report.failures.append(
                 {
@@ -535,7 +519,8 @@ def _build_m1_layer(report, e, ctx, model, groups):
             )
             continue
         report.m1_edges.append(
-            {"lower": lo.serialize(), "upper": hi.serialize(), "method": name}
+            {"lower": lo.serialize(), "upper": hi.serialize(),
+             "method": f"732-{variant}"}
         )
     for refined in sorted(witnesses, key=StratumLabel.key):
         if refined.m1 != "0":

@@ -143,6 +143,50 @@ def test_deform_missing_requirements_exit_usage(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def _swapped_levels_chain():
+    obj = ag_witness(2, 1, F2)[1].serialize()
+    obj["levels"][:2] = obj["levels"][1::-1]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["{}", "not json", _swapped_levels_chain()],
+    ids=["empty-object", "not-json", "swapped-levels"],
+)
+@pytest.mark.parametrize("flag", ["--chain", "--model"])
+def test_bad_input_file_is_usage_error(tmp_path, capsys, content, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    good = tmp_path / "witness.json"
+    model, chain = ag_witness(2, 1, F2)
+    good.write_text(json.dumps({"model": model.serialize(), "chain": chain.serialize()}))
+    files = {"--chain": str(good), "--model": str(good), flag: str(bad)}
+    code, out, err = run(
+        ["deform", "--chain", files["--chain"], "--model", files["--model"],
+         "--recipe", "732-1"],
+        capsys,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "bad.json" in err
+
+
+def test_negative_search_budget_is_usage_error(tmp_path, capsys):
+    lo = next(c for c in enumerate_chains(3, F2) if stratum_label(c).lam == (2, 1))
+    src = tmp_path / "lo.json"
+    src.write_text(json.dumps(lo.serialize()))
+    code, _, err = run(
+        [
+            "deform", "--chain", str(src), "--recipe", "search",
+            "--target", "lambda=(3,0);T={}", "--budget", "-5",
+        ],
+        capsys,
+    )
+    assert code == EXIT_USAGE
+    assert "budget" in err
+
+
 def test_deform_not_deformable_is_verification_failure(tmp_path, capsys):
     # a maximal chain cannot be raised: NotDeformable -> exit 2 (bad input),
     # while an exhausted search -> exit 1 (not found, not a usage error)

@@ -146,6 +146,10 @@ def test_sigma_recipes_break_one_hasse_index():
     assert gen == StratumLabel((2, 2), {3}, "0")
     assert fam.cert.metadata["prec"] >= 2
 
+    # the family is a valid chain over K[t]/(t^N) too, where the u-image
+    # of the moved level is not re-spanned
+    assert fam.as_chain().validate() == []
+
     # the raising variant starts from a chain on ((2,2),{3}) with m1 = 0
     chain2 = next(
         ch

@@ -2,10 +2,13 @@
 for byte.
 
 The files under ``tests/golden/`` were recorded from the library before the
-linear-algebra core was consolidated; a refactor that changes any output
-byte fails here.  ``chain_e3_q2.json`` (chain 4 of ``enumerate_chains(3,
+linear-algebra core was consolidated (the two ``*_raise.json`` outputs
+before the named recipes became one construction); a refactor that changes
+any output byte fails here.  ``chain_e3_q2.json`` (chain 4 of ``enumerate_chains(3,
 F_2)``, label ((2,1), {2})) and ``witness_m2_c1_q2.json`` (the output of
-``witness --m 2 --c 1 --q 2``) are inputs, not outputs.  The
+``witness --m 2 --c 1 --q 2``) and ``raise_input_e4_q2.json`` (chain 4 of
+``enumerate_chains(4, F_2)``, label ((2,2), {3}) with m1 = 0, and the
+witness model) are inputs, not outputs.  The
 ``DIGEST_CASES`` have no golden file: their sha256 must equal the one
 recorded in ``perfbench/expected.json``.
 
@@ -27,6 +30,7 @@ GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = Path(__file__).parent.parent / "perfbench" / "expected.json"
 CHAIN = str(GOLDEN / "chain_e3_q2.json")
 WITNESS = str(GOLDEN / "witness_m2_c1_q2.json")
+RAISE = str(GOLDEN / "raise_input_e4_q2.json")
 
 CASES = {
     "census_e4_q2,3.csv": ["census", "--e", "4", "--q", "2,3"],
@@ -43,8 +47,12 @@ CASES = {
         "--target", "lambda=(3,0);T={}",
     ],
     "deform_731-1_witness.json": ["deform", "--chain", WITNESS, "--recipe", "731-1"],
+    "deform_731-2_raise.json": ["deform", "--chain", RAISE, "--recipe", "731-2"],
     "deform_732-1_witness.json": [
         "deform", "--chain", WITNESS, "--model", WITNESS, "--recipe", "732-1",
+    ],
+    "deform_732-2_raise.json": [
+        "deform", "--chain", RAISE, "--model", RAISE, "--recipe", "732-2",
     ],
     "deform_invert-m1_witness.json": [
         "deform", "--chain", WITNESS, "--model", WITNESS, "--recipe", "invert-m1",

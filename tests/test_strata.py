@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from latmodel import chains, strata
+from latmodel import chains, deform, strata
 from latmodel.chains import enumerate_chains, pel_lattices
 from latmodel.cli import _suite_hodge
 from latmodel.dieudonne import ag_witness
@@ -189,14 +189,19 @@ def test_build_poset_m1_layer_present_with_model():
     assert any(m.startswith("732") for m in methods)
 
 
-@pytest.mark.parametrize("recipe", ["sigma_collapse", "invert_m1"])
-def test_m1_layer_propagates_bug_traps(recipe, monkeypatch):
+@pytest.mark.parametrize(
+    "module, recipe",
+    [(deform, "sigma_collapse"), (strata, "invert_m1")],
+    ids=["sigma_collapse", "invert_m1"],
+)
+def test_m1_layer_propagates_bug_traps(module, recipe, monkeypatch):
     # a failing recipe is a report failure only for library errors; a bug
-    # trap must propagate out of the m1 layer
+    # trap must propagate out of the m1 layer (the named edges reach
+    # sigma_collapse through deform.recipe_7_3_2)
     def broken(*args, **kwargs):
         raise AssertionError("planted bug")
 
-    monkeypatch.setattr(strata, recipe, broken)
+    monkeypatch.setattr(module, recipe, broken)
     model, chain = ag_witness(2, 1, F2)
     groups = {stratum_label(chain): [chain]}
     with pytest.raises(AssertionError, match="planted bug"):
