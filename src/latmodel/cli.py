@@ -29,6 +29,7 @@ from .invariants import StratumLabel, hodge, stratum_label
 from .scalars import ctx_from_serialized, small_field
 from .strata import (
     EXPECTED_NONEMPTY_E4,
+    Census,
     build_poset,
     census,
     census_csv,
@@ -58,13 +59,15 @@ def _jdump(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_q_list(s):
+def _parse_q_list(s, single=False):
     try:
         qs = [int(x) for x in str(s).split(",") if x.strip()]
     except ValueError:
         raise LatModelError(f"cannot parse field size list {s!r}")
     if not qs:
         raise LatModelError("empty field size list")
+    if single and len(qs) > 1:
+        raise LatModelError(f"this command takes one field size, got {s!r}")
     return qs
 
 
@@ -142,40 +145,26 @@ def _suite_hodge(e, qs):
     report["checks"].append({"check": "census-totals", "ok": totals_ok})
 
     # degree fits at the requested e over the fixed sample fields
+    families = (  # (family, key field, counts, expected degree)
+        ("chains", "lambda", Census.chain_counts_by_hodge, lambda lam: e - lam[1]),
+        ("lattices", "lambda", Census.lattice_counts_by_hodge,
+         lambda lam: e - 2 * lam[1]),
+        ("T-strata", "T", Census.chain_counts_by_T, lambda T: e - len(T)),
+    )
     fits = []
-    by_lam, by_lat, by_T = {}, {}, {}
-    for q in FIT_SAMPLE_Q:
-        c = cen(e, q)
-        for lam, n in c.chain_counts_by_hodge().items():
-            by_lam.setdefault(lam, {})[q] = n
-        for lam, n in c.lattice_counts_by_hodge().items():
-            by_lat.setdefault(lam, {})[q] = n
-        for T, n in c.chain_counts_by_T().items():
-            by_T.setdefault(T, {})[q] = n
-    for lam, samples in sorted(by_lam.items()):
-        f = degree_fit(samples)
-        good = f.degree == e - lam[1]
-        ok &= good
-        fits.append(
-            {"family": "chains", "lambda": list(lam), "degree": f.degree,
-             "expected": e - lam[1], "ok": good, "stable": f.stable}
-        )
-    for lam, samples in sorted(by_lat.items()):
-        f = degree_fit(samples)
-        good = f.degree == e - 2 * lam[1]
-        ok &= good
-        fits.append(
-            {"family": "lattices", "lambda": list(lam), "degree": f.degree,
-             "expected": e - 2 * lam[1], "ok": good, "stable": f.stable}
-        )
-    for T, samples in sorted(by_T.items()):
-        f = degree_fit(samples)
-        good = f.degree == e - len(T)
-        ok &= good
-        fits.append(
-            {"family": "T-strata", "T": list(T), "degree": f.degree,
-             "expected": e - len(T), "ok": good, "stable": f.stable}
-        )
+    for family, field, counts, expected in families:
+        samples = {}
+        for q in FIT_SAMPLE_Q:
+            for key, n in counts(cen(e, q)).items():
+                samples.setdefault(key, {})[q] = n
+        for key, s in sorted(samples.items()):
+            f = degree_fit(s)
+            good = f.degree == expected(key)
+            ok &= good
+            fits.append(
+                {"family": family, field: list(key), "degree": f.degree,
+                 "expected": expected(key), "ok": good, "stable": f.stable}
+            )
     report["checks"].append({"check": "dimension-degree-fits", "ok": ok, "fits": fits})
     report["ok"] = ok
     return ok, report
@@ -277,14 +266,15 @@ def _suite_flatness(e, qs):
     return ok, report
 
 
+def _poset(e, q):
+    """The certified closure poset, with the m1 layer at e = 4."""
+    ctx = small_field(q)
+    return build_poset(e, ctx, model=ag_witness(2, 1, ctx)[0] if e == 4 else None)
+
+
 def _suite_closure(e, qs):
     """Witness-certified covering edges of the closure order."""
-    q = qs[0]
-    ctx = small_field(q)
-    model = None
-    if e == 4:
-        model, _ = ag_witness(2, 1, ctx)
-    rep = build_poset(e, ctx, model=model)
+    rep = _poset(e, qs[0])
     report = {"name": "closure", "ok": rep.ok, "report": json.loads(rep.to_json())}
     return rep.ok, report
 
@@ -336,12 +326,7 @@ def _cmd_verify(args):
 
 
 def _cmd_poset(args):
-    qs = _parse_q_list(args.q)
-    ctx = small_field(qs[0])
-    model = None
-    if args.e == 4:
-        model, _ = ag_witness(2, 1, ctx)
-    rep = build_poset(args.e, ctx, model=model)
+    rep = _poset(args.e, _parse_q_list(args.q, single=True)[0])
     _emit(rep.to_dot() if args.format == "dot" else rep.to_json(), args.out)
     return EXIT_OK if rep.ok else EXIT_FAIL
 
@@ -421,8 +406,7 @@ def _cmd_orbits(args):
 
 
 def _cmd_witness(args):
-    qs = _parse_q_list(args.q)
-    ctx = small_field(qs[0])
+    ctx = small_field(_parse_q_list(args.q, single=True)[0])
     model, chain = ag_witness(args.m, args.c, ctx)
     obj = {
         "model": model.serialize(),

@@ -26,8 +26,10 @@ Provided constructions:
   linear invariants stay literally constant while omega^(1) leaves F^(1)
   at first order (the Frobenius of t is t^p, so F^(1) of the family is
   constant mod t^2).
-* ``search_witness`` -- deterministic first-order single-generator
-  perturbation search used for edges with no named recipe.
+* ``search_witness`` -- deterministic first-order perturbation search
+  for edges with no named recipe.  Each level is built once per prefix
+  of moves below it and each distinct family is checked once; the tries
+  and the family found are those of building every candidate afresh.
 """
 
 from __future__ import annotations
@@ -749,22 +751,17 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
     fam_f1 = _family_f_one(model_t, pre3_twist, extra_matrix=gsigma)
     if fam_f1.dim != 1:
         raise AllMinorsVanish("family F^(1) is degenerate")
+
+    def nonzero_mod_t2(vec):
+        return any(not ctx.is_zero(c[m]) for c in vec.coeffs for m in range(min(2, N)))
+
     # F^(1) constant mod t^2
     base_f1_t = lift_sub(f_one(model, chain), tctx)
-    for v in fam_f1.basis():
-        r = base_f1_t.reduce(v)
-        if any(
-            not ctx.is_zero(c[m]) for c in r.coeffs for m in range(min(2, N))
-        ):
-            raise AssertionError("F^(1) moved at first order (bug)")
-    moved1 = fam.levels[0].basis()[0]
-    resid = fam_f1.reduce(moved1)
-    mod_t2_nonzero = any(
-        not ctx.is_zero(c[m]) for c in resid.coeffs for m in range(min(2, N))
-    )
-    if not mod_t2_nonzero:
+    if any(nonzero_mod_t2(base_f1_t.reduce(v)) for v in fam_f1.basis()):
+        raise AssertionError("F^(1) moved at first order (bug)")
+    if not nonzero_mod_t2(fam_f1.reduce(fam.levels[0].basis()[0])):
         raise AllMinorsVanish("m1 did not break mod t^2")
-    cert = CertifiedLabel(
+    fam.cert = CertifiedLabel(
         StratumLabel(lab.lam, lab.T, "1"),
         True,
         {
@@ -774,7 +771,6 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
             "m1": "omega^(1) differs from F^(1) already mod t^2",
         },
     )
-    fam.cert = cert
     return fam
 
 
@@ -805,12 +801,19 @@ def search_witness(chain, target, budget=DEFAULT_SEARCH_BUDGET):
     """First-order perturbation search over subsets of levels.
 
     For each subset S of levels (smallest first) and each tuple of
-    monomials (w_k), the complement generator of every level k in S is
-    replaced by v_k + t w_k; levels outside S keep their generator when
-    it still fits, or get a canonical first-order correction v + t z
-    solved over K(t).  Returns the first valid family specializing
-    bit-exactly to the input whose generic label matches the target.
-    Exhaustion raises NotFound (never treated as emptiness).
+    monomials (w_k), the last varying fastest, the complement generator
+    of every level k in S is replaced by v_k + t w_k; levels outside S
+    keep their generator when it still fits, or get a canonical
+    first-order correction v + t z solved over K(t).  Returns the first
+    valid family specializing bit-exactly to the input whose generic label
+    matches the target.  Exhaustion raises NotFound (never treated as
+    emptiness).
+
+    Level k depends only on the moves at levels <= k: each depth keeps its
+    last level keyed by that move prefix, so a degenerate prefix rejects
+    every try sharing it, and a family already seen (same canonical rows)
+    was already rejected.  Tries, order, budget and result are those of
+    building and checking every candidate afresh.
     """
     from itertools import combinations, product
 
@@ -820,70 +823,83 @@ def search_witness(chain, target, budget=DEFAULT_SEARCH_BUDGET):
     if lab.linear() == tgt or not naive_leq(lab.linear(), tgt):
         raise InvalidInput("target must be strictly above the chain's label")
     kt = rational_ctx(ctx)
-    trep = kt.t()
-    monos = [
-        UVec.monomial(ctx, e, coord, deg) for coord in (1, 2) for deg in range(e)
+    tdeltas = [
+        UVec.monomial(kt, e, coord, deg).scale(kt.t())
+        for coord in (1, 2)
+        for deg in range(e)
     ]
-    deltas = [
-        UVec.monomial(kt, e, coord, deg) for coord in (1, 2) for deg in range(e)
+    gens = [
+        lift_vec(_complement_generator(chain.level(k + 1), chain.level(k)), kt)
+        for k in range(e)
     ]
-    gens = {
-        k: _complement_generator(chain.level(k), chain.level(k - 1))
-        for k in range(1, e + 1)
-    }
+    cache = [(None, None)] * e  # per depth: last move prefix and its level
+    seen = set()
     attempts = 0
     for size in range(1, e + 1):
-        for subset in combinations(range(1, e + 1), size):
-            for ws in product(monos, repeat=size):
+        for subset in combinations(range(e), size):
+            for ws in product(range(2 * e), repeat=size):
                 attempts += 1
                 if attempts > budget:
                     raise NotFound(
                         f"budget {budget} exhausted after {attempts - 1} tries"
                     )
-                fam = _try_perturbation(
-                    chain, kt, trep, deltas, gens, dict(zip(subset, ws))
-                )
-                if fam is not None and fam.generic_label().linear() == tgt:
+                moves = tuple(map(dict(zip(subset, ws)).get, range(e)))
+                levels = _try_perturbation(gens, tdeltas, moves, cache)
+                if levels is None:
+                    continue
+                key = tuple(w.rows for w in levels)
+                if key in seen:
+                    continue
+                seen.add(key)
+                fam = FamilyChain("exact_rational", ctx, kt, e, levels)
+                if _is_witness(fam, chain, tgt):
                     return fam
     raise NotFound(f"no witness within budget (tried {attempts})")
 
 
-def _try_perturbation(chain, kt, trep, deltas, gens, moves):
-    """Build one candidate family; None if the construction degenerates."""
-    ctx, e = chain.ctx, chain.e
+def _try_perturbation(gens, tdeltas, moves, cache):
+    """Levels of the candidate moving generator k by tdeltas[moves[k]]
+    (None: no move), or None if its construction degenerates; cache[k]
+    holds the last level k + 1 built, keyed by moves[:k + 1]."""
+    prev = Subspace.zero(gens[0].ctx, gens[0].N)
     levels = []
-    prev = Subspace.zero(kt, e)
-    for k in range(1, e + 1):
-        vk = lift_vec(gens[k], kt)
-        if k in moves:
-            y = vk.add(lift_vec(moves[k], kt).scale(trep))
-            if not prev.contains_vec(y.u_mult()):
-                return None
-        elif prev.contains_vec(vk.u_mult()):
-            y = vk
-        else:
-            # canonical first-order correction v + t z
-            cols = [prev.reduce(d.scale(trep).u_mult()).coeffs for d in deltas]
-            targ = tuple(kt.neg(c) for c in prev.reduce(vk.u_mult()).coeffs)
-            sol = _solve_linear(cols, targ, kt)
-            if sol is None:
-                return None
-            y = vk
-            for c, d in zip(sol, deltas):
-                if not kt.is_zero(c):
-                    y = y.add(d.scale(kt.mul(c, trep)))
-            if not prev.contains_vec(y.u_mult()):
-                return None
-        if prev.contains_vec(y):
+    for k, vk in enumerate(gens):
+        if cache[k][0] != moves[: k + 1]:
+            cache[k] = (moves[: k + 1], _perturb_level(prev, vk, moves[k], tdeltas))
+        prev = cache[k][1]
+        if prev is None:
             return None
-        levels.append(Subspace.span(kt, e, prev.basis() + [y]))
-        prev = levels[-1]
-    fam = FamilyChain("exact_rational", ctx, kt, e, levels)
+        levels.append(prev)
+    return levels
+
+
+def _perturb_level(prev, vk, move, tdeltas):
+    """prev + <y>, y = v_k + tdeltas[move]; with no move, y = v_k when
+    u v_k lies in prev, else its canonical first-order correction v_k + t z.
+    None if u y is outside prev or y inside it."""
+    kt = prev.ctx
+    y = vk if move is None else vk.add(tdeltas[move])
+    r = prev.reduce(y.u_mult())
+    if move is None and not r.is_zero():
+        cols = [prev.reduce(d.u_mult()).coeffs for d in tdeltas]
+        sol = _solve_linear(cols, tuple(kt.neg(c) for c in r.coeffs), kt)
+        if sol is None:
+            return None
+        for c, d in zip(sol, tdeltas):
+            if not kt.is_zero(c):
+                y = y.add(d.scale(c))
+        r = prev.reduce(y.u_mult())
+    if not r.is_zero() or prev.contains_vec(y):
+        return None
+    return Subspace.span(kt, prev.N, prev.basis() + [y])
+
+
+def _is_witness(fam, chain, tgt):
+    """A valid family specializing to chain with generic linear label tgt."""
     if fam.validate():
-        return None
+        return False
     try:
-        if fam.specialize() != chain:
-            return None
+        special = fam.specialize()
     except LatModelError:
-        return None
-    return fam
+        return False
+    return special == chain and fam.generic_label().linear() == tgt

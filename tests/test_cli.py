@@ -268,6 +268,15 @@ def test_invalid_q_list(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("cmd", ["poset", "witness"])
+def test_single_field_command_rejects_q_list(cmd, capsys):
+    # these commands work over one field: a list is an error, not its head
+    code, out, err = run([cmd, "--e", "2", "--q", "2,3"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert any(l.startswith("error:") and "2,3" in l for l in err.splitlines())
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "latmodel.cli", "census", "--e", "1", "--q", "2"],

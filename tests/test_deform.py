@@ -2,12 +2,20 @@
 
 import pytest
 
+import json
+from itertools import combinations, product
+
+from latmodel import deform
 from latmodel.chains import PRChain, enumerate_chains, group_generators
 from latmodel.deform import (
+    DEFAULT_SEARCH_BUDGET,
     FamilyChain,
+    _complement_generator,
+    _solve_linear,
     hodge_raise,
     invert_m1,
     lift_sub,
+    lift_vec,
     linear_collapse,
     linear_raise,
     recipe_7_3_1,
@@ -27,9 +35,10 @@ def _label_or_none(model, chain):
         return labeled_with_m1(model, chain)
     except DegenerateF:
         return None
-from latmodel.errors import InvalidInput, NotDeformable, NotFound
-from latmodel.invariants import StratumLabel, dominance_leq, stratum_label
+from latmodel.errors import InvalidInput, LatModelError, NotDeformable, NotFound
+from latmodel.invariants import StratumLabel, dominance_leq, naive_leq, stratum_label
 from latmodel.scalars import prime_field, rational_ctx
+from latmodel.strata import _covering_edges, census_by_point
 from latmodel.umod import Subspace, UVec
 
 F2 = prime_field(2)
@@ -229,3 +238,119 @@ def test_search_witness_propagates_bug_traps(monkeypatch):
     ch = _worked_chain(F2)
     with pytest.raises(AssertionError, match="planted bug"):
         search_witness(ch, StratumLabel((3, 0), set()))
+
+
+def _search_afresh(chain, target, budget, tried):
+    """The witness search with every candidate built and checked from
+    scratch; appends (moves by level, level rows or None) for each try."""
+    ctx, e = chain.ctx, chain.e
+    tgt = target.linear()
+    lab = stratum_label(chain).linear()
+    if lab == tgt or not naive_leq(lab, tgt):
+        raise InvalidInput("target must be strictly above the chain's label")
+    kt = rational_ctx(ctx)
+    trep = kt.t()
+    deltas = [UVec.monomial(kt, e, c, d) for c in (1, 2) for d in range(e)]
+    gens = {
+        k: lift_vec(_complement_generator(chain.level(k), chain.level(k - 1)), kt)
+        for k in range(1, e + 1)
+    }
+
+    def build(moves):
+        levels = []
+        prev = Subspace.zero(kt, e)
+        for k in range(1, e + 1):
+            vk = gens[k]
+            if k in moves:
+                y = vk.add(deltas[moves[k]].scale(trep))
+                if not prev.contains_vec(y.u_mult()):
+                    return None
+            elif prev.contains_vec(vk.u_mult()):
+                y = vk
+            else:
+                cols = [prev.reduce(d.scale(trep).u_mult()).coeffs for d in deltas]
+                targ = tuple(kt.neg(c) for c in prev.reduce(vk.u_mult()).coeffs)
+                sol = _solve_linear(cols, targ, kt)
+                if sol is None:
+                    return None
+                y = vk
+                for c, d in zip(sol, deltas):
+                    if not kt.is_zero(c):
+                        y = y.add(d.scale(kt.mul(c, trep)))
+                if not prev.contains_vec(y.u_mult()):
+                    return None
+            if prev.contains_vec(y):
+                return None
+            prev = Subspace.span(kt, e, prev.basis() + [y])
+            levels.append(prev)
+        return levels
+
+    def check(levels):
+        fam = FamilyChain("exact_rational", ctx, kt, e, levels)
+        if fam.validate():
+            return None
+        try:
+            if fam.specialize() != chain:
+                return None
+        except LatModelError:
+            return None
+        return fam
+
+    attempts = 0
+    for size in range(1, e + 1):
+        for subset in combinations(range(1, e + 1), size):
+            for ws in product(range(2 * e), repeat=size):
+                attempts += 1
+                if attempts > budget:
+                    raise NotFound(
+                        f"budget {budget} exhausted after {attempts - 1} tries"
+                    )
+                moves = dict(zip(subset, ws))
+                levels = build(moves)
+                tried.append((tuple(map(moves.get, range(1, e + 1))), _rows(levels)))
+                fam = levels and check(levels)
+                if fam is not None and fam.generic_label().linear() == tgt:
+                    return fam
+    raise NotFound(f"no witness within budget (tried {attempts})")
+
+
+def _rows(levels):
+    return None if levels is None else tuple(w.rows for w in levels)
+
+
+def _outcome(search, *args):
+    try:
+        fam = search(*args)
+    except NotFound as exc:
+        return "NotFound", str(exc)
+    return "found", json.dumps(fam.serialize(), sort_keys=True)
+
+
+@pytest.mark.parametrize("ctx", [F2, F3], ids=["q2", "q3"])
+def test_search_witness_matches_search_afresh(ctx, monkeypatch):
+    # every non-maximal chain at e = 3 against each label covering its own,
+    # with the default budget and one that runs out after a few tries: the
+    # same tries in the same order, each with the same levels as when built
+    # from scratch, and the same family or NotFound message
+    tried = []
+    try_perturbation = deform._try_perturbation
+
+    def recorded(gens, tdeltas, moves, cache):
+        levels = try_perturbation(gens, tdeltas, moves, cache)
+        tried.append((moves, _rows(levels)))
+        return levels
+
+    monkeypatch.setattr(deform, "_try_perturbation", recorded)
+    groups = census_by_point(3, ctx)
+    outcomes = set()
+    for lower, upper in _covering_edges(sorted(groups, key=StratumLabel.key)):
+        for chain in groups[lower]:
+            for budget in (DEFAULT_SEARCH_BUDGET, 5):
+                tried.clear()
+                got = _outcome(search_witness, chain, upper, budget)
+                lib_tried = list(tried)
+                tried.clear()
+                assert got == _outcome(_search_afresh, chain, upper, budget, tried)
+                assert lib_tried == tried
+                outcomes.add(got[0])
+    assert outcomes == {"found", "NotFound"}

@@ -119,28 +119,49 @@ def test_census_derivations_match_direct_counts():
         assert chain_counts_by_T(e, ctx) == cen.chain_counts_by_T()
 
 
+def _count_calls(monkeypatch, counts, module, name, key):
+    """Count calls of module.name under counts[key]."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_hodge_suite_work_counts(monkeypatch):
     """One enumerate-and-label pass per (e, q): 16 censuses for the totals
     (e = 1..4, q = 2..5) plus (4, 7) for the fits; no cache across calls."""
     counts = Counter()
-
-    def counted(module, name, key):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(chains, "enumerate_chains", "enumerations")  # pel_lattices
-    counted(strata, "enumerate_chains", "enumerations")
-    counted(strata, "stratum_label", "labels")
+    for module, name, key in (
+        (chains, "enumerate_chains", "enumerations"),  # pel_lattices
+        (strata, "enumerate_chains", "enumerations"),
+        (strata, "stratum_label", "labels"),
+    ):
+        _count_calls(monkeypatch, counts, module, name, key)
     for _ in range(2):
         counts.clear()
         ok, _ = _suite_hodge(4, [2])
         assert ok
         assert counts == {"enumerations": 17, "labels": 6890}
+
+
+def test_witness_search_work_counts(monkeypatch):
+    """The e = 4, q = 2 poset makes 36 searches and 37,441 tries, as when
+    every candidate was built from scratch; each level is built once per
+    move prefix (5,876 builds) and each distinct family of a search is
+    checked once (176 checks)."""
+    counts = Counter()
+    for module, name, key in (
+        (strata, "search_witness", "searches"),
+        (deform, "_try_perturbation", "tries"),
+        (deform, "_perturb_level", "levels"),
+        (deform, "_is_witness", "checks"),
+    ):
+        _count_calls(monkeypatch, counts, module, name, key)
+    assert build_poset(4, F2).ok
+    assert counts == {"searches": 36, "tries": 37441, "levels": 5876, "checks": 176}
 
 
 def test_fiber_constancy_and_counts():
