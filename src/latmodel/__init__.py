@@ -39,7 +39,7 @@ from .invariants import (
 )
 from .scalars import prime_field, rational_ctx, small_field, truncated_ctx
 from .strata import build_poset, census, degree_fit, emptiness_table, product_census
-from .umod import Subspace, UVec, span
+from .umod import Subspace, UMatrix, UVec, span
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,7 @@ __all__ = [
     "StratumLabel",
     "Subspace",
     "TruncatedGroupElement",
+    "UMatrix",
     "UVec",
     "act",
     "adm_poset",

@@ -6,8 +6,10 @@ combinatorial point of the splitting local model.  This module provides
 validation, exhaustive enumeration over small finite fields, the
 convolution presentation (successive lattice quotients of codimension one,
 obtained by rescaling each level by the appropriate power of u), the
-action of the truncated group GL_2(K[u]/(u^e)), orbit computation, and
-the fibers of the endpoint map (chain -> omega^(e)).
+action of the truncated group GL_2(K[u]/(u^e)) (its elements are
+umod.UMatrix values with unit determinant), orbit computation by one BFS
+over a generating set of O(e q) elementary and diagonal matrices, and the
+fibers of the endpoint map (chain -> omega^(e)).
 
 Truncation note: the group action on lattices containing u^e * Lambda_0
 factors through GL_2(K[u]/(u^e)) -- for g congruent to g' mod u^e and any
@@ -20,26 +22,10 @@ from __future__ import annotations
 import itertools
 
 from .errors import BoundExceeded, InvalidInput
-from .scalars import field_elements, series_inv, series_mul
-from .umod import Subspace, UVec, apply_matrix
+from .scalars import field_elements
+from .umod import Subspace, UMatrix, UVec
 
 DEFAULT_CHAIN_BOUND = 10 ** 6
-
-
-# ----------------------------------------------------------------------
-# elements of R_e = K[u]/(u^e) as length-e tuples of raw coefficients over
-# ctx; products and inverses are scalars.series_mul / series_inv
-# ----------------------------------------------------------------------
-def _rzero(ctx, e):
-    return (ctx.zero(),) * e
-
-
-def _rone(ctx, e):
-    return (ctx.one(),) + (ctx.zero(),) * (e - 1)
-
-
-def _radd(ctx, a, b):
-    return tuple(ctx.add(x, y) for x, y in zip(a, b))
 
 
 class PRChain:
@@ -241,82 +227,24 @@ def conv_denormalize(cc):
 # ----------------------------------------------------------------------
 # truncated group action
 # ----------------------------------------------------------------------
-class TruncatedGroupElement:
+class TruncatedGroupElement(UMatrix):
     """A 2x2 matrix over K[u]/(u^e) with unit determinant at u = 0."""
 
-    __slots__ = ("ctx", "e", "entries")
+    __slots__ = ()
 
     def __init__(self, ctx, e, entries):
-        self.ctx = ctx
-        self.e = e
-        self.entries = tuple(tuple(row) for row in entries)
-        det0 = ctx.sub(
-            ctx.mul(self.entries[0][0][0], self.entries[1][1][0]),
-            ctx.mul(self.entries[0][1][0], self.entries[1][0][0]),
-        )
+        super().__init__(ctx, e, entries)
+        (a, b), (c, d) = self.entries
+        det0 = ctx.sub(ctx.mul(a[0], d[0]), ctx.mul(b[0], c[0]))
         if not ctx.is_unit(det0):
             raise InvalidInput("matrix is not invertible over K[u]/(u^e)")
-
-    @classmethod
-    def from_ints(cls, ctx, e, rows):
-        """Build from 2x2 nested lists of u-coefficient int lists."""
-        ent = []
-        for r in rows:
-            row = []
-            for poly in r:
-                cs = [ctx.from_int(c) for c in poly]
-                cs += [ctx.zero()] * (e - len(cs))
-                row.append(tuple(cs[:e]))
-            ent.append(row)
-        return cls(ctx, e, ent)
-
-    @classmethod
-    def identity(cls, ctx, e):
-        return cls.from_ints(ctx, e, [[[1], [0]], [[0], [1]]])
-
-    def compose(self, other):
-        """Matrix product self * other."""
-        ctx, e = self.ctx, self.e
-        a, b = self.entries, other.entries
-        ent = [
-            [
-                _radd(
-                    ctx,
-                    series_mul(ctx, e, a[i][0], b[0][j]),
-                    series_mul(ctx, e, a[i][1], b[1][j]),
-                )
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-        return TruncatedGroupElement(ctx, e, ent)
-
-    def inverse(self):
-        """Adjugate over determinant (a unit power series in u)."""
-        ctx, e = self.ctx, self.e
-        (a, b), (c, d) = self.entries
-        neg = lambda poly: tuple(ctx.neg(x) for x in poly)
-        det = _radd(ctx, series_mul(ctx, e, a, d), neg(series_mul(ctx, e, b, c)))
-        inv = series_inv(ctx, e, det)
-        ent = [
-            [series_mul(ctx, e, inv, d), series_mul(ctx, e, inv, neg(b))],
-            [series_mul(ctx, e, inv, neg(c)), series_mul(ctx, e, inv, a)],
-        ]
-        return TruncatedGroupElement(ctx, e, ent)
-
-    def apply_vec(self, vec):
-        return apply_matrix(self.entries, vec)
 
 
 def act(g, chain):
     """Levelwise image g * omega^(i); preserves validity."""
     if g.ctx != chain.ctx or g.e != chain.e:
         raise InvalidInput("context mismatch")
-    levels = [
-        Subspace.span(chain.ctx, chain.e, [g.apply_vec(v) for v in w.basis()])
-        for w in chain.levels
-    ]
-    return PRChain(chain.ctx, chain.e, levels)
+    return PRChain(chain.ctx, chain.e, [g.image(w) for w in chain.levels])
 
 
 def group_order(e, q):
@@ -325,42 +253,33 @@ def group_order(e, q):
 
 
 def group_generators(ctx, e):
-    """Elementary matrices plus diagonal units: a generating set."""
-    elements = field_elements(ctx)
-    gens = []
-    # all elements of R_e for the elementary shears (includes u-shears)
-    for coeffs in itertools.product(elements, repeat=e):
-        if all(ctx.is_zero(c) for c in coeffs):
-            continue
-        poly = list(coeffs)
-        gens.append(
-            TruncatedGroupElement(
-                ctx, e, [[_rone(ctx, e), tuple(poly)], [_rzero(ctx, e), _rone(ctx, e)]]
-            )
-        )
-        gens.append(
-            TruncatedGroupElement(
-                ctx, e, [[_rone(ctx, e), _rzero(ctx, e)], [tuple(poly), _rone(ctx, e)]]
-            )
-        )
-    # diagonal units (unit constant term)
-    for coeffs in itertools.product(elements, repeat=e):
-        if ctx.is_zero(coeffs[0]):
-            continue
-        d = tuple(coeffs)
-        if d == _rone(ctx, e):
-            continue
-        gens.append(
-            TruncatedGroupElement(
-                ctx, e, [[d, _rzero(ctx, e)], [_rzero(ctx, e), _rone(ctx, e)]]
-            )
-        )
-        gens.append(
-            TruncatedGroupElement(
-                ctx, e, [[_rone(ctx, e), _rzero(ctx, e)], [_rzero(ctx, e), d]]
-            )
-        )
-    return gens
+    """A generating set of GL_2(K[u]/(u^e)) with O(e q) elements.
+
+    With c over K^x: the shears 1 + c u^k E_12 and 1 + c u^k E_21 for
+    0 <= k < e, diag(c, 1) for c != 1, and diag(1 + c u^k, 1) for
+    1 <= k < e.  Elementary matrices generate SL_2 of the local ring
+    R = K[u]/(u^e), GL_2 = SL_2 * diag(R^x, 1) and R^x = K^x * (1 + uR);
+    the 1 + c u^k generate 1 + uR one u-adic step at a time.
+    """
+    G, one = TruncatedGroupElement, ctx.one()
+    units = field_elements(ctx)[1:]
+    shears = [
+        G.unit_plus_monomial(ctx, e, pos, k, c)
+        for pos in ((0, 1), (1, 0))
+        for k in range(e)
+        for c in units
+    ]
+    constants = [  # diag(c, 1) = 1 + (c - 1) E_11
+        G.unit_plus_monomial(ctx, e, (0, 0), 0, ctx.sub(c, one))
+        for c in units
+        if c != one
+    ]
+    one_units = [
+        G.unit_plus_monomial(ctx, e, (0, 0), k, c)
+        for k in range(1, e)
+        for c in units
+    ]
+    return shears + constants + one_units
 
 
 def orbits(e, ctx, bound=DEFAULT_CHAIN_BOUND):

@@ -54,7 +54,7 @@ from .invariants import (
     stratum_label,
 )
 from .scalars import rational_ctx, series_inv, series_mul, truncated_ctx
-from .umod import Subspace, UVec, _nullspace, _rref, apply_matrix
+from .umod import Subspace, UMatrix, UVec, _nullspace, _rref
 
 DEFAULT_TRUNC_PRECISION = 16
 MAX_TRUNC_PRECISION = 128
@@ -581,15 +581,6 @@ def recipe_7_3_1(chain, variant):
     raise InvalidInput(f"unknown variant {variant!r}")
 
 
-def _family_f_one(model_t, pre_twist_t, extra_matrix=None):
-    """span of M (sigma g) w over the lifted twisted preimage basis."""
-    imgs = []
-    for v in pre_twist_t.basis():
-        x = v if extra_matrix is None else apply_matrix(extra_matrix, v)
-        imgs.append(model_t.apply_linear(x))
-    return Subspace.span(pre_twist_t.ctx, pre_twist_t.N, imgs)
-
-
 def _sigma_recipe(model, chain, N, k, power, source_T, lam, T, hodge_meta):
     """The linear move over K[t]/(t^N), certified to keep m1 = 0.
 
@@ -609,7 +600,7 @@ def _sigma_recipe(model, chain, N, k, power, source_T, lam, T, hodge_meta):
     _check_family(fam, chain)
     l1, l2, l3, l4 = levels
     pre3_twist = lift_sub(chain.level(3).u_preimage().frobenius_twist(), tctx)
-    fam_f1 = _family_f_one(model.with_ctx(tctx, tctx.lift), pre3_twist)
+    fam_f1 = model.map_coeffs(tctx.lift, tctx).image(pre3_twist)
     if not fam_f1.equals(l1):
         raise AllMinorsVanish("family F^(1) does not match the pinned level")
     # certificates: m3, m4-containment structure and broken invariants
@@ -687,15 +678,6 @@ def with_precision_retry(fn, *args, N=DEFAULT_TRUNC_PRECISION):
 # ----------------------------------------------------------------------
 # m1 inversion (whole-chain transport by 1 + tA)
 # ----------------------------------------------------------------------
-def _unit_plus_monomial(ctx, e, pos, deg, c, diag):
-    """The 2x2 matrix diag * 1 + c u^deg E_pos over K[u]/(u^e)."""
-    ent = [[[ctx.zero()] * e for _ in range(2)] for _ in range(2)]
-    ent[0][0][0] = ent[1][1][0] = diag
-    i, j = pos
-    ent[i][j][deg] = ctx.add(ent[i][j][deg], c)
-    return [[tuple(poly) for poly in row] for row in ent]
-
-
 def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
     """Family with every linear invariant t-constant and m1 != 0 mod t^2.
 
@@ -714,20 +696,15 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
     # deterministic choice of A: single-monomial matrices u^deg E_pos
     moves = ((pos, deg) for pos in ((0, 1), (1, 0), (0, 0), (1, 1)) for deg in range(e))
     for pos, deg in moves:
-        A = _unit_plus_monomial(ctx, e, pos, deg, ctx.one(), ctx.zero())
-        if not chain.level(1).contains_vec(apply_matrix(A, w1)):
+        A = UMatrix.unit_plus_monomial(ctx, e, pos, deg, ctx.one(), diag=ctx.zero())
+        if not chain.level(1).contains_vec(A.apply(w1)):
             break
     else:
         raise NoValidAuxVector("no matrix moves level one (bug)")
     tctx = truncated_ctx(ctx, N)
     trep = tctx.t()
-    g_t = _unit_plus_monomial(tctx, e, pos, deg, trep, tctx.one())
-    levels = [
-        Subspace.span(
-            tctx, e, [apply_matrix(g_t, lift_vec(v, tctx)) for v in wlvl.basis()]
-        )
-        for wlvl in chain.levels
-    ]
+    g_t = UMatrix.unit_plus_monomial(tctx, e, pos, deg, trep)
+    levels = [g_t.image(lift_sub(w, tctx)) for w in chain.levels]
     fam = FamilyChain("truncated", ctx, tctx, e, levels, model=model)
     _check_family(fam, chain)
 
@@ -743,12 +720,11 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
             raise AssertionError("transported T changed (bug)")
 
     # m1 breaks already mod t^2; sigma(g) = 1 + t^p A as A is t-constant
-    model_t = model.with_ctx(tctx, tctx.lift)
-    gsigma = _unit_plus_monomial(tctx, e, pos, deg, tctx.frobenius(trep), tctx.one())
+    gsigma = UMatrix.unit_plus_monomial(tctx, e, pos, deg, tctx.frobenius(trep))
     pre3_twist = lift_sub(
         chain.level(e - 1).u_preimage().frobenius_twist(), tctx
     )
-    fam_f1 = _family_f_one(model_t, pre3_twist, extra_matrix=gsigma)
+    fam_f1 = model.map_coeffs(tctx.lift, tctx).compose(gsigma).image(pre3_twist)
     if fam_f1.dim != 1:
         raise AllMinorsVanish("family F^(1) is degenerate")
 
@@ -780,17 +756,11 @@ def transport_family(fam, g):
     The generic label and validity are unchanged (g is invertible and
     commutes with u); the specialization becomes g * (old specialization).
     """
-    tctx, e = fam.tctx, fam.e
-    gt = [
-        [tuple(tctx.lift(c) for c in poly) for poly in row]
-        for row in g.entries
-    ]
-    levels = [
-        Subspace.span(tctx, e, [apply_matrix(gt, v) for v in w.basis()])
-        for w in fam.levels
-    ]
+    tctx = fam.tctx
+    gt = g.map_coeffs(tctx.lift, tctx)
+    levels = [gt.image(w) for w in fam.levels]
     return FamilyChain(
-        fam.mode, fam.base_ctx, tctx, e, levels, model=fam.model, cert=fam.cert
+        fam.mode, fam.base_ctx, tctx, fam.e, levels, model=fam.model, cert=fam.cert
     )
 
 

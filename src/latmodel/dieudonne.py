@@ -25,49 +25,17 @@ from .chains import PRChain
 from .errors import DegenerateF, InvalidInput
 from .invariants import StratumLabel, stratum_label
 from .scalars import Scalar
-from .umod import Subspace, UVec, apply_matrix
+from .umod import Subspace, UMatrix, UVec
 
 
-class DieudonneModel:
+class DieudonneModel(UMatrix):
     """2x2 Frobenius matrix over K[u]/(u^e), acting sigma-semilinearly."""
 
-    __slots__ = ("ctx", "e", "entries")
-
-    def __init__(self, ctx, e, entries):
-        self.ctx = ctx
-        self.e = e
-        self.entries = tuple(tuple(row) for row in entries)
-
-    @classmethod
-    def from_ints(cls, ctx, e, rows):
-        ent = []
-        for r in rows:
-            row = []
-            for poly in r:
-                cs = [
-                    c.rep if isinstance(c, Scalar) else ctx.from_int(c)
-                    for c in poly
-                ]
-                cs += [ctx.zero()] * (e - len(cs))
-                row.append(tuple(cs[:e]))
-            ent.append(row)
-        return cls(ctx, e, ent)
-
-    def with_ctx(self, new_ctx, lift):
-        """Transport the (t-constant) matrix into a t-extension context."""
-        ent = [
-            [tuple(lift(c) for c in poly) for poly in row]
-            for row in self.entries
-        ]
-        return DieudonneModel(new_ctx, self.e, ent)
-
-    def apply_linear(self, vec):
-        """Multiply by the matrix only (no Frobenius) -- for pre-twisted input."""
-        return apply_matrix(self.entries, vec)
+    __slots__ = ()
 
     def apply(self, vec):
         """The semilinear action F(v) = matrix * frobenius(v)."""
-        return self.apply_linear(vec.frobenius())
+        return super().apply(vec.frobenius())
 
     def serialize(self):
         ctx = self.ctx
@@ -81,26 +49,18 @@ class DieudonneModel:
 
     @classmethod
     def deserialize(cls, ctx, obj):
-        e = obj["e"]
-        ent = []
-        for row in obj["F"]:
-            r = []
-            for poly in row:
-                cs = [ctx.deserialize(c) for c in poly]
-                cs += [ctx.zero()] * (e - len(cs))
-                r.append(tuple(cs[:e]))
-            ent.append(r)
-        return cls(ctx, e, ent)
+        rows = [
+            [[Scalar(ctx, ctx.deserialize(c)) for c in poly] for poly in row]
+            for row in obj["F"]
+        ]
+        return cls.from_ints(ctx, obj["e"], rows)
 
 
 def f_one(model, chain):
     """F applied to the Frobenius twist of u^-1(omega^(e-1))."""
     if model.ctx != chain.ctx or model.e != chain.e:
         raise InvalidInput("model and chain context mismatch")
-    pre = chain.level(chain.e - 1).u_preimage()
-    twisted = pre.frobenius_twist()
-    images = [model.apply_linear(v) for v in twisted.basis()]
-    return Subspace.span(chain.ctx, chain.e, images)
+    return model.image(chain.level(chain.e - 1).u_preimage())
 
 
 def m1_vanishes(model, chain):

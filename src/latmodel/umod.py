@@ -16,7 +16,7 @@ caller can re-parametrize, never silently dividing by a non-unit.
 from __future__ import annotations
 
 from .errors import InvalidInput, NonUnitPivot
-from .scalars import Scalar, series_mul
+from .scalars import Scalar, series_inv, series_mul
 
 
 class UVec:
@@ -118,21 +118,104 @@ class UVec:
         return "UVec<" + (" + ".join(terms) or "0") + ">"
 
 
-def apply_matrix(entries, vec):
-    """The K[u]-linear image M * vec of a 2x2 matrix over K[u]/(u^N).
+def _series_dot(ctx, n, p, q, r, s):
+    """p q + r s over K[x]/(x^n)."""
+    pq, rs = series_mul(ctx, n, p, q), series_mul(ctx, n, r, s)
+    return tuple(ctx.add(x, y) for x, y in zip(pq, rs))
 
-    ``entries`` holds the four length-N coefficient tuples as
-    ((m11, m12), (m21, m22)) over the vector's context.
+
+class UMatrix:
+    """A 2x2 matrix over K[u]/(u^e), acting K[u]-linearly on E_e.
+
+    ``entries`` is ((m11, m12), (m21, m22)), each a length-e tuple of raw
+    coefficients over ctx, u^0 first; products and inverses are
+    scalars.series_mul / series_inv.  Methods that build a matrix return
+    the caller's class, except ``map_coeffs``, which returns a plain
+    UMatrix.
     """
-    ctx, N = vec.ctx, vec.N
-    a, b = vec.coeffs[:N], vec.coeffs[N:]
-    out = ()
-    for m1, m2 in entries:
-        out += tuple(
-            ctx.add(x, y)
-            for x, y in zip(series_mul(ctx, N, m1, a), series_mul(ctx, N, m2, b))
+
+    __slots__ = ("ctx", "e", "entries")
+
+    def __init__(self, ctx, e, entries):
+        self.ctx = ctx
+        self.e = e
+        self.entries = tuple(tuple(tuple(poly) for poly in row) for row in entries)
+        if len(self.entries) != 2 or any(
+            len(row) != 2 or any(len(poly) != e for poly in row)
+            for row in self.entries
+        ):
+            raise InvalidInput("matrix must be 2x2 with entries of length e")
+
+    @classmethod
+    def from_ints(cls, ctx, e, rows):
+        """Build from 2x2 nested lists of u-coefficients (ints or Scalars),
+        each entry padded with zeros or cut to length e."""
+        zero = ctx.zero()
+        ent = []
+        for row in rows:
+            polys = []
+            for poly in row:
+                cs = [c.rep if isinstance(c, Scalar) else ctx.from_int(c) for c in poly]
+                polys.append((cs + [zero] * e)[:e])
+            ent.append(polys)
+        return cls(ctx, e, ent)
+
+    @classmethod
+    def identity(cls, ctx, e):
+        return cls.from_ints(ctx, e, [[[1], [0]], [[0], [1]]])
+
+    @classmethod
+    def unit_plus_monomial(cls, ctx, e, pos, deg, c, diag=None):
+        """diag * 1 + c u^deg E_pos, with diag = 1 by default."""
+        zero = ctx.zero()
+        ent = [[[zero] * e for _ in range(2)] for _ in range(2)]
+        ent[0][0][0] = ent[1][1][0] = ctx.one() if diag is None else diag
+        i, j = pos
+        ent[i][j][deg] = ctx.add(ent[i][j][deg], c)
+        return cls(ctx, e, ent)
+
+    def map_coeffs(self, fn, new_ctx):
+        """The plain matrix with fn applied to every coefficient."""
+        return UMatrix(
+            new_ctx,
+            self.e,
+            [[tuple(fn(c) for c in poly) for poly in row] for row in self.entries],
         )
-    return UVec(ctx, N, out)
+
+    def apply(self, vec):
+        """The K[u]-linear image M * vec."""
+        ctx, N = vec.ctx, vec.N
+        a, b = vec.coeffs[:N], vec.coeffs[N:]
+        (m11, m12), (m21, m22) = self.entries
+        top = _series_dot(ctx, N, m11, a, m12, b)
+        return UVec(ctx, N, top + _series_dot(ctx, N, m21, a, m22, b))
+
+    def image(self, w):
+        """The span of the images of a subspace's basis."""
+        return Subspace.span(w.ctx, w.N, [self.apply(v) for v in w.basis()])
+
+    def compose(self, other):
+        """Matrix product self * other."""
+        ctx, e = self.ctx, self.e
+        a, b = self.entries, other.entries
+        ent = [
+            [_series_dot(ctx, e, a[i][0], b[0][j], a[i][1], b[1][j]) for j in range(2)]
+            for i in range(2)
+        ]
+        return type(self)(ctx, e, ent)
+
+    def inverse(self):
+        """Adjugate over determinant (a unit power series in u)."""
+        ctx, e = self.ctx, self.e
+        (a, b), (c, d) = self.entries
+        ad, bc = series_mul(ctx, e, a, d), series_mul(ctx, e, b, c)
+        inv = series_inv(ctx, e, tuple(ctx.sub(x, y) for x, y in zip(ad, bc)))
+        neg = lambda poly: tuple(ctx.neg(x) for x in poly)
+        ent = [
+            [series_mul(ctx, e, inv, d), series_mul(ctx, e, inv, neg(b))],
+            [series_mul(ctx, e, inv, neg(c)), series_mul(ctx, e, inv, a)],
+        ]
+        return type(self)(ctx, e, ent)
 
 
 def _rref(rows, ctx, ncols):

@@ -1,5 +1,8 @@
 """Periodic chains of u-stable subspaces, group action, orbits, fibers."""
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +22,8 @@ from latmodel.chains import (
     pel_lattices,
     standard_free_chain,
 )
-from latmodel.scalars import prime_field, small_field
+from latmodel import chains as chains_mod
+from latmodel.scalars import field_elements, prime_field, small_field
 from latmodel.umod import Subspace, UVec, span
 
 F2 = prime_field(2)
@@ -84,19 +88,72 @@ def test_conv_round_trip():
 
 def test_group_order_and_generators():
     assert group_order(1, 2) == 6  # GL_2(F_2) has order 6
-    gens = group_generators(F2, 2)
-    assert all(isinstance(g, TruncatedGroupElement) for g in gens)
-    # closure of generators has the full group order
-    seen = {TruncatedGroupElement.identity(F2, 2).entries}
-    frontier = [TruncatedGroupElement.identity(F2, 2)]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            gh = g.compose(h)
-            if gh.entries not in seen:
-                seen.add(gh.entries)
-                frontier.append(gh)
-    assert len(seen) == group_order(2, 2)
+    # (1, 4): over an extension field the units are not the integers mod q
+    for e, q in ((2, 2), (1, 4), (2, 3), (3, 2)):
+        ctx = small_field(q)
+        gens = group_generators(ctx, e)
+        assert all(isinstance(g, TruncatedGroupElement) for g in gens)
+        # closure of generators has the full group order
+        seen = {TruncatedGroupElement.identity(ctx, e).entries}
+        frontier = [TruncatedGroupElement.identity(ctx, e)]
+        while frontier:
+            g = frontier.pop()
+            for h in gens:
+                gh = g.compose(h)
+                if gh.entries not in seen:
+                    seen.add(gh.entries)
+                    frontier.append(gh)
+        assert len(seen) == group_order(e, q), (e, q)
+
+
+def _full_generators(ctx, e):
+    """Every shear 1 + r E_12, 1 + r E_21 (r != 0) and every diagonal unit
+    diag(d, 1), diag(1, d) (d != 1): the original, larger generating set,
+    kept as the reference for the small one."""
+    elements = field_elements(ctx)
+    one, zero = TruncatedGroupElement.identity(ctx, e).entries[0]
+    polys = [tuple(cs) for cs in itertools.product(elements, repeat=e)]
+    gens = []
+    for r in polys[1:]:
+        gens.append(TruncatedGroupElement(ctx, e, [[one, r], [zero, one]]))
+        gens.append(TruncatedGroupElement(ctx, e, [[one, zero], [r, one]]))
+    for d in polys:
+        if ctx.is_zero(d[0]) or d == one:
+            continue
+        gens.append(TruncatedGroupElement(ctx, e, [[d, zero], [zero, one]]))
+        gens.append(TruncatedGroupElement(ctx, e, [[one, zero], [zero, d]]))
+    return gens
+
+
+@pytest.mark.parametrize("e,q", [(3, 3), (4, 2)])
+def test_small_generating_set_gives_the_same_orbits(e, q, monkeypatch):
+    ctx = small_field(q)
+    small = orbit_transports(e, ctx)
+    monkeypatch.setattr(chains_mod, "group_generators", _full_generators)
+    full = orbit_transports(e, ctx)
+    assert small.keys() == full.keys()
+    # the same representative for every chain, hence the same orbit sizes
+    assert all(small[k][0].key() == full[k][0].key() for k in full)
+    sizes = lambda tr: Counter(rep.key() for rep, _ in tr.values())
+    assert sizes(small) == sizes(full)
+    for tr in (small, full):
+        for key, (rep, g) in tr.items():
+            assert act(g, rep).key() == key
+
+
+def test_orbit_work_counts(monkeypatch):
+    # a gate on the size of the orbit BFS: every chain is acted on by every
+    # generator once, 81 chains x 11 generators (44 with the full set)
+    assert len(group_generators(F2, 4)) == 11
+    calls = [0]
+
+    def counting(g, chain):
+        calls[0] += 1
+        return act(g, chain)
+
+    monkeypatch.setattr(chains_mod, "act", counting)
+    orbit_transports(4, F2)
+    assert calls[0] == 891
 
 
 def test_group_inverse():

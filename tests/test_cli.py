@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from latmodel import cli
 from latmodel.chains import enumerate_chains
 from latmodel.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from latmodel.dieudonne import ag_witness
@@ -172,6 +173,29 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys, content, flag):
     assert err.startswith("error:") and "bad.json" in err
 
 
+@pytest.mark.parametrize(
+    "F",
+    [
+        [[[0]]],
+        [[[1], [0], [0]], [[0], [1]]],
+        [[[1], [0]], [[0], [1]], [[0], [0]]],
+    ],
+    ids=["one-entry", "three-columns", "three-rows"],
+)
+def test_model_not_2x2_is_usage_error(tmp_path, capsys, F):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"e": 4, "F": F}))
+    good = tmp_path / "witness.json"
+    good.write_text(json.dumps({"chain": ag_witness(2, 1, F2)[1].serialize()}))
+    code, out, err = run(
+        ["deform", "--chain", str(good), "--model", str(bad), "--recipe", "invert-m1"],
+        capsys,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "bad.json" in err and "2x2" in err
+
+
 def test_negative_search_budget_is_usage_error(tmp_path, capsys):
     lo = next(c for c in enumerate_chains(3, F2) if stratum_label(c).lam == (2, 1))
     src = tmp_path / "lo.json"
@@ -275,6 +299,33 @@ def test_single_field_command_rejects_q_list(cmd, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert any(l.startswith("error:") and "2,3" in l for l in err.splitlines())
+
+
+@pytest.mark.parametrize("suite", ["closure", "all"])
+def test_closure_suite_rejects_q_list(suite, capsys):
+    # the closure suite certifies one poset: a list is rejected before any
+    # suite runs, not cut to its head
+    code, out, err = run(["verify", "--suite", suite, "--e", "3", "--q", "2,3"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert any(l.startswith("error:") and "2,3" in l for l in err.splitlines())
+    assert "suite " not in err
+
+
+def test_hasse_suite_checks_m1_witness_per_field(capsys, monkeypatch):
+    fields = []
+
+    def recording(m, c, ctx, e=4):
+        fields.append(ctx.order)
+        return ag_witness(m, c, ctx, e)
+
+    monkeypatch.setattr(cli, "ag_witness", recording)
+    code, out, _ = run(["verify", "--suite", "hasse", "--e", "4", "--q", "2,3"], capsys)
+    assert code == EXIT_OK
+    assert fields == [2, 3]
+    checks = json.loads(out)["suites"][0]["checks"]
+    m1 = [c for c in checks if c["check"] == "m1-witness-and-inversion"]
+    assert len(m1) == 2 and all(c["ok"] for c in m1)
 
 
 def test_console_script_entry_point():

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latmodel.errors import NonUnitPivot
+from latmodel.errors import InvalidInput, NonUnitPivot
 from latmodel.scalars import field_elements, prime_field, small_field, truncated_ctx
-from latmodel.umod import Subspace, UVec, span
+from latmodel.umod import Subspace, UMatrix, UVec, span
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -135,6 +135,28 @@ def test_subspace_serialize_round_trip():
         N,
     )
     assert Subspace.deserialize(F3, W.serialize()) == W
+
+
+def test_umatrix_shape_padding_and_arithmetic():
+    # entries are padded or cut to length e; anything but 2x2 is rejected
+    m = UMatrix.from_ints(F3, 3, [[[1, 1, 0, 2], [2]], [[0, 1], [1]]])
+    assert m.entries == (((1, 1, 0), (2, 0, 0)), ((0, 1, 0), (1, 0, 0)))
+    for rows in ([[[1]]], [[[1], [0], [0]], [[0], [1]]], [[[1], [0]]] * 3):
+        with pytest.raises(InvalidInput):
+            UMatrix.from_ints(F3, 3, rows)
+    assert UMatrix.unit_plus_monomial(F3, 3, (1, 0), 2, 2).entries == (
+        ((1, 0, 0), (0, 0, 0)),
+        ((0, 0, 2), (1, 0, 0)),
+    )
+    ident = UMatrix.identity(F3, 3)
+    assert m.compose(m.inverse()).entries == ident.entries
+    # apply is K[u]-linear and respects composition
+    v, w = _vec(F3, 3, [1, 2], [0, 1]), _vec(F3, 3, [0, 0, 1], [2])
+    assert m.apply(v.add(w)) == m.apply(v).add(m.apply(w))
+    assert m.apply(v.u_mult()) == m.apply(v).u_mult()
+    assert m.compose(m).apply(v) == m.apply(m.apply(v))
+    lifted = m.map_coeffs(lambda c: c, F3)
+    assert type(lifted) is UMatrix and lifted.entries == m.entries
 
 
 def test_truncated_ring_rref_skips_nonunit_columns():
