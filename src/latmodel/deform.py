@@ -27,9 +27,9 @@ Provided constructions:
   at first order (the Frobenius of t is t^p, so F^(1) of the family is
   constant mod t^2).
 * ``search_witness`` -- deterministic first-order perturbation search
-  for edges with no named recipe.  Each level is built once per prefix
-  of moves below it and each distinct family is checked once; the tries
-  and the family found are those of building every candidate afresh.
+  for edges with no named recipe.  Each level is built once per
+  (previous level, move) and each distinct family is checked once; the
+  tries and the family found are those of building every candidate afresh.
 """
 
 from __future__ import annotations
@@ -779,11 +779,11 @@ def search_witness(chain, target, budget=DEFAULT_SEARCH_BUDGET):
     matches the target.  Exhaustion raises NotFound (never treated as
     emptiness).
 
-    Level k depends only on the moves at levels <= k: each depth keeps its
-    last level keyed by that move prefix, so a degenerate prefix rejects
-    every try sharing it, and a family already seen (same canonical rows)
-    was already rejected.  Tries, order, budget and result are those of
-    building and checking every candidate afresh.
+    Level k + 1 depends only on level k's canonical rows and the move at
+    level k: each such pair is built once per search, so a degenerate
+    level rejects every try that reaches it, and a family already seen
+    (same canonical rows) was already rejected.  Tries, order, budget and result
+    are those of building and checking every candidate afresh.
     """
     from itertools import combinations, product
 
@@ -802,7 +802,7 @@ def search_witness(chain, target, budget=DEFAULT_SEARCH_BUDGET):
         lift_vec(_complement_generator(chain.level(k + 1), chain.level(k)), kt)
         for k in range(e)
     ]
-    cache = [(None, None)] * e  # per depth: last move prefix and its level
+    cache = {}  # (rows of the previous level, move) -> level, or None
     seen = set()
     attempts = 0
     for size in range(1, e + 1):
@@ -829,14 +829,14 @@ def search_witness(chain, target, budget=DEFAULT_SEARCH_BUDGET):
 
 def _try_perturbation(gens, tdeltas, moves, cache):
     """Levels of the candidate moving generator k by tdeltas[moves[k]]
-    (None: no move), or None if its construction degenerates; cache[k]
-    holds the last level k + 1 built, keyed by moves[:k + 1]."""
+    (None: no move), or None if its construction degenerates; cache maps
+    (level k's rows, moves[k]) to level k + 1 (level k has k rows)."""
     prev = Subspace.zero(gens[0].ctx, gens[0].N)
     levels = []
-    for k, vk in enumerate(gens):
-        if cache[k][0] != moves[: k + 1]:
-            cache[k] = (moves[: k + 1], _perturb_level(prev, vk, moves[k], tdeltas))
-        prev = cache[k][1]
+    for vk, move in zip(gens, moves):
+        if (prev.rows, move) not in cache:
+            cache[prev.rows, move] = _perturb_level(prev, vk, move, tdeltas)
+        prev = cache[prev.rows, move]
         if prev is None:
             return None
         levels.append(prev)

@@ -152,7 +152,7 @@ def hodge_step_check(e, ctx):
 
     Returns (violations, converse_examples): the first must be empty; the
     second lists (chain, i) where the hodge step holds but m_i != 0 (the
-    implication is strictly one-way).
+    implication is one-way for e >= 3, two-way for e <= 2).
     """
     from .invariants import mi_vanishes
 

@@ -76,6 +76,26 @@ def test_verify_hasse_suite(capsys):
     assert rep["ok"] is True
 
 
+@pytest.mark.parametrize("e", [1, 2])
+def test_verify_hasse_suite_small_e(e, capsys):
+    # at e <= 2, m_i = 0 is equivalent to the Hodge step: there is no
+    # converse example to find, and that is not a failure
+    code, out, err = run(
+        ["verify", "--suite", "hasse", "--e", str(e), "--q", "2,3"], capsys
+    )
+    assert code == EXIT_OK
+    assert "suite hasse: ok" in err
+    steps = [
+        c for c in json.loads(out)["suites"][0]["checks"]
+        if c["check"] == "hodge-step-lemma"
+    ]
+    assert [(c["q"], c["violations"], c["converse_examples"]) for c in steps] == [
+        (2, 0, 0),
+        (3, 0, 0),
+    ]
+    assert all(c["ok"] for c in steps)
+
+
 def test_verify_flatness_suite(capsys):
     code, out, _ = run(
         ["verify", "--suite", "flatness", "--e", "4", "--q", "2,3"], capsys
@@ -290,6 +310,21 @@ def test_ill_typed_config_value_is_usage_error(tmp_path, capsys, line, flag):
 def test_invalid_q_list(capsys):
     code, _, err = run(["census", "--q", "2,banana"], capsys)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("q", ["2,2", "3,2,3", "2,,3", "2,", ",2", ""])
+@pytest.mark.parametrize(
+    "cmd",
+    [["census"], ["fibers"], ["orbits"], ["verify", "--suite", "hasse"]],
+    ids=["census", "fibers", "orbits", "verify-hasse"],
+)
+def test_repeated_or_empty_q_entry_is_usage_error(cmd, q, capsys):
+    # a repeated field would repeat every row or check, an empty entry is
+    # not a field size: both are rejected before any work
+    code, out, err = run(cmd + ["--e", "2", "--q", q], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert any(l.startswith("error:") and repr(q) in l for l in err.splitlines())
 
 
 @pytest.mark.parametrize("cmd", ["poset", "witness"])

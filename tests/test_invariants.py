@@ -1,9 +1,16 @@
 """Linear invariants: block partitions, Hodge pairs, labels, posets."""
 
+from functools import lru_cache, reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latmodel.chains import enumerate_chains, standard_free_chain
+from latmodel.chains import (
+    act,
+    enumerate_chains,
+    group_generators,
+    standard_free_chain,
+)
 from latmodel.errors import InvalidInput
 from latmodel.invariants import (
     StratumLabel,
@@ -18,7 +25,7 @@ from latmodel.invariants import (
     product_poset,
     stratum_label,
 )
-from latmodel.scalars import prime_field
+from latmodel.scalars import prime_field, small_field
 from latmodel.umod import Subspace, UVec, span
 
 F2 = prime_field(2)
@@ -136,6 +143,28 @@ def test_label_parse_serialize_round_trip():
 def test_label_round_trip_property(a, T, m1):
     lab = StratumLabel((a, 4 - a), T, m1)
     assert StratumLabel.parse(lab.serialize()) == lab
+
+
+@lru_cache(maxsize=None)
+def _chains_and_generators(e, q):
+    ctx = small_field(q)
+    return enumerate_chains(e, ctx), group_generators(ctx, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from([2, 3, 4]),
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+)
+def test_stratum_label_is_constant_on_orbits(e, q, chain_idx, word):
+    # a stratum is a union of orbits: any word g in the generators of
+    # GL_2(K[u]/(u^e)) keeps the label of every chain
+    chains, gens = _chains_and_generators(e, q)
+    chain = chains[chain_idx % len(chains)]
+    g = reduce(lambda a, b: a.compose(b), (gens[i % len(gens)] for i in word))
+    assert stratum_label(act(g, chain)) == stratum_label(chain)
 
 
 def test_naive_leq_is_a_preorder_on_e4_labels():

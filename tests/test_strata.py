@@ -150,8 +150,8 @@ def test_hodge_suite_work_counts(monkeypatch):
 def test_witness_search_work_counts(monkeypatch):
     """The e = 4, q = 2 poset makes 36 searches and 37,441 tries, as when
     every candidate was built from scratch; each level is built once per
-    move prefix (5,876 builds) and each distinct family of a search is
-    checked once (176 checks)."""
+    (previous level, move) of a search (1,317 builds) and each distinct
+    family of a search is checked once (176 checks)."""
     counts = Counter()
     for module, name, key in (
         (strata, "search_witness", "searches"),
@@ -161,7 +161,7 @@ def test_witness_search_work_counts(monkeypatch):
     ):
         _count_calls(monkeypatch, counts, module, name, key)
     assert build_poset(4, F2).ok
-    assert counts == {"searches": 36, "tries": 37441, "levels": 5876, "checks": 176}
+    assert counts == {"searches": 36, "tries": 37441, "levels": 1317, "checks": 176}
 
 
 def test_fiber_constancy_and_counts():
