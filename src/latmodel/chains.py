@@ -3,7 +3,8 @@
 A chain is a full flag omega^(1) subset ... subset omega^(e) with
 dim omega^(i) = i and u * omega^(i) contained in omega^(i-1): the
 combinatorial point of the splitting local model.  This module provides
-validation, exhaustive enumeration over small finite fields, the
+validation, exhaustive enumeration over small finite fields (one walk
+that labels each chain as it builds it), the
 convolution presentation (successive lattice quotients of codimension one,
 obtained by rescaling each level by the appropriate power of u), the
 action of the truncated group GL_2(K[u]/(u^e)) (its elements are
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BoundExceeded, InvalidInput
+from .invariants import StratumLabel
 from .scalars import field_elements
 from .umod import Subspace, UMatrix, UVec
 
@@ -137,31 +139,64 @@ def _lines_through(ctx, comp, elements):
             yield v
 
 
-def enumerate_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
-    """All valid chains over a finite field, sorted canonically.
+def _nil_order(v):
+    """Least k with u^k v = 0: N minus the lowest u-degree present in v."""
+    N, z = v.N, v.ctx.zero()
+    for d in range(N):
+        if v.coeffs[d] != z or v.coeffs[N + d] != z:
+            return N - d
+    return 0
+
+
+def labelled_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
+    """All valid chains over a finite field with their linear labels, as
+    (chain, StratumLabel) pairs sorted canonically.
 
     The count is (q+1)^e: each level adds one line's worth of choices in a
-    two-dimensional quotient.
+    two-dimensional quotient.  Level i adds one vector v with u v in
+    omega^(i-1), and the label follows the walk by two rules, each decided
+    once per choice of omega^(i) and shared by every chain through it:
+
+    * the nilpotency index is c_i = c_(i-1) + [u^c_(i-1) v != 0], because
+      u^k omega^(i) = u^k omega^(i-1) + K u^k v and u^(c_(i-1)+1) v lies in
+      u^c_(i-1) omega^(i-1) = 0.  The top's cyclic blocks are (c_e, e - c_e),
+      so lambda = (c_e, e - c_e);
+    * m_i = 0 iff u v lies in omega^(i-2), because u omega^(i) =
+      u omega^(i-1) + K u v and u omega^(i-1) lies in omega^(i-2) already.
+
+    Checked on every chain: c_e is the nilpotency index read off the top's
+    own basis, and lambda = (e, 0) iff T is empty.
     """
     q = ctx.order
     if (q + 1) ** e > bound:
         raise BoundExceeded(f"(q+1)^e = {(q + 1) ** e} exceeds bound {bound}")
     elements = field_elements(ctx)
-    zero = Subspace.zero(ctx, e)
-    partial = [[]]
+    partial = [((Subspace.zero(ctx, e),), 0, ())]  # (omega^(0..i-1), c, T)
     for i in range(1, e + 1):
         nxt = []
-        for levels in partial:
-            prev = levels[-1] if levels else zero
-            pre = prev.u_preimage()
-            comp = _complement_basis(pre, prev)
+        for levels, c, T in partial:
+            prev = levels[-1]
+            comp = _complement_basis(prev.u_preimage(), prev)
             for v in _lines_through(ctx, comp, elements):
-                w = Subspace.span(ctx, e, (prev.basis() + [v]))
-                nxt.append(levels + [w])
+                w = Subspace.span(ctx, e, prev.basis() + [v])
+                m_i_zero = i > 1 and levels[-2].contains_vec(v.u_mult())
+                T_i = T + (i,) if m_i_zero else T
+                nxt.append((levels + (w,), c + (_nil_order(v) > c), T_i))
         partial = nxt
-    chains = [PRChain(ctx, e, levels) for levels in partial]
-    chains.sort(key=PRChain.sort_key)
-    return chains
+    labels, out = {}, []
+    for levels, c, T in partial:
+        if max(map(_nil_order, levels[-1].basis())) != c or (c == e) != (not T):
+            raise AssertionError("walk label disagrees with the chain's top (bug)")
+        if (c, T) not in labels:
+            labels[c, T] = StratumLabel((c, e - c), T)
+        out.append((PRChain(ctx, e, levels[1:]), labels[c, T]))
+    out.sort(key=lambda pair: pair[0].sort_key())
+    return out
+
+
+def enumerate_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
+    """All valid chains over a finite field, sorted canonically."""
+    return [chain for chain, _ in labelled_chains(e, ctx, bound)]
 
 
 # ----------------------------------------------------------------------

@@ -408,7 +408,7 @@ def _cmd_orbits(args):
 
 def _cmd_witness(args):
     ctx = small_field(_parse_q_list(args.q, single=True)[0])
-    model, chain = ag_witness(args.m, args.c, ctx)
+    model, chain = ag_witness(args.m, args.c, ctx, e=args.e)
     obj = {
         "model": model.serialize(),
         "chain": chain.serialize(),

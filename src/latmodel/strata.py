@@ -12,7 +12,8 @@ import json
 from collections import Counter
 from fractions import Fraction
 
-from .chains import enumerate_chains, fiber_chains, orbit_transports, pel_lattices
+from .chains import enumerate_chains, fiber_chains, labelled_chains
+from .chains import orbit_transports, pel_lattices
 from .deform import (
     hodge_raise,
     invert_m1,
@@ -24,7 +25,7 @@ from .deform import (
 )
 from .dieudonne import labeled_with_m1
 from .errors import DegenerateF, InvalidInput, LatModelError, NotFound
-from .invariants import StratumLabel, hodge, naive_leq, stratum_label
+from .invariants import StratumLabel, hodge, naive_leq
 from .umod import Subspace
 
 
@@ -75,17 +76,17 @@ class Census:
         return dict(self.lattices)
 
 
-def _labelled_chains(e, ctx):
-    """The enumerate-and-label pass: (chain, linear label) for every chain."""
-    for c in enumerate_chains(e, ctx):
-        yield c, stratum_label(c).linear()
-
-
 def census(e, ctx):
-    """Exhaustive stratum census; total mass is (q+1)^e."""
+    """Exhaustive stratum census; total mass is (q+1)^e.
+
+    The labels come from the walk itself (chains.labelled_chains): level i
+    adds v with u v in omega^(i-1), the nilpotency index grows by one iff
+    u^c v != 0 (c the index so far), and m_i = 0 iff u v lies in
+    omega^(i-2), since u omega^(i-1) always does.
+    """
     counts = Counter()
     tops = {}
-    for c, lab in _labelled_chains(e, ctx):
+    for c, lab in labelled_chains(e, ctx):
         counts[lab] += 1
         tops[c.top.rows] = lab.lam
     out = Census(e, ctx.order, counts, Counter(tops.values()))
@@ -97,7 +98,7 @@ def census(e, ctx):
 def census_by_point(e, ctx):
     """Census that also keeps the chains, grouped by label."""
     groups = {}
-    for c, lab in _labelled_chains(e, ctx):
+    for c, lab in labelled_chains(e, ctx):
         groups.setdefault(lab, []).append(c)
     return groups
 

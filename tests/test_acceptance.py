@@ -10,6 +10,7 @@ Stated runtime budgets are asserted.
 """
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -81,48 +82,42 @@ def test_invariant_values_of_reference_lattices():
 
 
 # ---------------------------------------------------------------- 2
-def _oracle_chain_count_e1_q2():
-    """Brute force over F_2^2 with u = 0: the 1-dim subspaces."""
-    vecs = [v for v in range(1, 4)]
-    return len({frozenset({0, v}) for v in vecs})
+def _oracle_census_q2(e):
+    """Brute force over F_2^(2e) with the explicit shift action of u.
 
-
-def _oracle_chain_count_e2_q2():
-    """Brute force over F_2^4 with the explicit shift action of u.
-
-    Coordinates (a0, a1, b0, b1) stand for (a0 + a1 u) e1 + (b0 + b1 u) e2;
-    u maps the vector to (0, a0, 0, b0).  A chain is a pair of subspaces
-    W1 < W2 of dims 1, 2 with u W1 = 0 and u W2 <= W1.
+    Bit d of a vector is the coefficient of u^d e1 and bit e + d that of
+    u^d e2, so u shifts each block up by one and drops its top bit.  A
+    subspace is the set of its vectors, and a chain is a flag W_1 < ... <
+    W_e with dim W_i = i and u W_i <= W_(i-1), where W_0 = {0}.  Returns
+    the chain count per (lambda, T): lambda = (c, e - c) for the least c
+    with u^c W_e = 0, and T = {i >= 2 : u W_i <= W_(i-2)}.
     """
+    mask = (1 << e) - 1
+
     def u(v):
-        a0 = (v >> 3) & 1
-        b0 = (v >> 1) & 1
-        return (a0 << 2) | b0
+        return ((v << 1) & mask) | ((((v >> e) << 1) & mask) << e)
 
-    def subspace(gens):
-        s = {0}
-        for g in gens:
-            s |= {x ^ g for x in s}
-        return frozenset(s)
+    def image(W):
+        return frozenset(u(x) for x in W)
 
-    vectors = range(1, 16)
-    count = 0
-    seen = set()
-    for v in vectors:
-        if u(v) != 0:
-            continue
-        W1 = subspace([v])
-        for w in vectors:
-            if w in W1:
-                continue
-            W2 = subspace([v, w])
-            if any(u(x) not in W1 for x in W2):
-                continue
-            key = (W1, W2)
-            if key not in seen:
-                seen.add(key)
-                count += 1
-    return count
+    flags = {(frozenset({0}),)}
+    for _ in range(e):
+        nxt = set()
+        for flag in flags:
+            prev = flag[-1]
+            for v in range(1, 1 << 2 * e):
+                W = prev | {x ^ v for x in prev}
+                if v not in prev and image(W) <= prev:
+                    nxt.add(flag + (W,))
+        flags = nxt
+    counts = Counter()
+    for flag in flags:
+        c, W = 0, flag[-1]
+        while W != {0}:
+            c, W = c + 1, image(W)
+        T = frozenset(i for i in range(2, e + 1) if image(flag[i]) <= flag[i - 2])
+        counts[(c, e - c), T] += 1
+    return counts
 
 
 def test_census_totals_with_independent_oracle():
@@ -131,8 +126,19 @@ def test_census_totals_with_independent_oracle():
             for q in (2, 3, 4, 5):
                 assert census(e, small_field(q)).total() == (q + 1) ** e
         # independent enumeration, sharing no code with the library
-        assert _oracle_chain_count_e1_q2() == 3 == len(enumerate_chains(1, F2))
-        assert _oracle_chain_count_e2_q2() == 9 == len(enumerate_chains(2, F2))
+        for e in (1, 2):
+            assert sum(_oracle_census_q2(e).values()) == 3**e == len(
+                enumerate_chains(e, F2)
+            )
+
+
+def test_census_labels_match_bitset_oracle():
+    # chains per (lambda, T) over F_2, from a brute force sharing no code
+    # with the library
+    with Timer(30.0):
+        for e in (1, 2, 3, 4):
+            got = {(lab.lam, lab.T): n for lab, n in census(e, F2).counts.items()}
+            assert got == dict(_oracle_census_q2(e))
 
 
 # ---------------------------------------------------------------- 3

@@ -17,12 +17,14 @@ from latmodel.chains import (
     fiber_chains,
     group_generators,
     group_order,
+    labelled_chains,
     orbit_transports,
     orbits,
     pel_lattices,
     standard_free_chain,
 )
 from latmodel import chains as chains_mod
+from latmodel.invariants import stratum_label
 from latmodel.scalars import field_elements, prime_field, small_field
 from latmodel.umod import Subspace, UVec, span
 
@@ -36,6 +38,21 @@ def test_enumeration_count_matches_closed_form():
     for ctx, q in ((F2, 2), (F3, 3), (F4, 4)):
         for e in (1, 2, 3):
             assert len(enumerate_chains(e, ctx)) == (q + 1) ** e
+
+
+@pytest.mark.parametrize(
+    "e, q",
+    [(e, q) for q in (2, 3) for e in (1, 2, 3, 4)]
+    + [(e, q) for q in (4, 8, 9) for e in (1, 2, 3)]
+    + [(5, 2)],
+)
+def test_labelled_walk_matches_stratum_label(e, q):
+    # the labels the walk builds level by level are the labels read off
+    # each finished chain, in enumeration order
+    ctx = small_field(q)
+    assert labelled_chains(e, ctx) == [
+        (c, stratum_label(c).linear()) for c in enumerate_chains(e, ctx)
+    ]
 
 
 def test_enumeration_is_deterministic_and_valid():

@@ -336,6 +336,17 @@ def test_single_field_command_rejects_q_list(cmd, capsys):
     assert any(l.startswith("error:") and "2,3" in l for l in err.splitlines())
 
 
+@pytest.mark.parametrize("e", ["2", "5"])
+def test_witness_honours_e(e, capsys):
+    # the witness exists at e = 4 only: another --e is an error, not ignored
+    code, out, err = run(["witness", "--e", e, "--q", "2"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines() == [
+        "error: InvalidInput: witness only defined for e = 4"
+    ]
+
+
 @pytest.mark.parametrize("suite", ["closure", "all"])
 def test_closure_suite_rejects_q_list(suite, capsys):
     # the closure suite certifies one poset: a list is rejected before any

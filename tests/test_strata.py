@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from latmodel import chains, deform, strata
+from latmodel import chains, cli, deform, dieudonne, invariants, strata
 from latmodel.chains import enumerate_chains, pel_lattices
 from latmodel.cli import _suite_hodge
 from latmodel.dieudonne import ag_witness
@@ -131,20 +131,35 @@ def _count_calls(monkeypatch, counts, module, name, key):
 
 
 def test_hodge_suite_work_counts(monkeypatch):
-    """One enumerate-and-label pass per (e, q): 16 censuses for the totals
-    (e = 1..4, q = 2..5) plus (4, 7) for the fits; no cache across calls."""
-    counts = Counter()
+    """One labelled walk per (e, q): 16 censuses for the totals (e = 1..4,
+    q = 2..5) plus (4, 7) for the fits; no cache across calls.  The walk
+    labels every chain itself, so stratum_label is never called."""
+    keys = ("walks", "chains labelled", "enumerations", "labels")
+    counts = dict.fromkeys(keys, 0)
+    walk = strata.labelled_chains
+
+    def counted_walk(*args, **kwargs):
+        pairs = walk(*args, **kwargs)
+        counts["walks"] += 1
+        counts["chains labelled"] += len(pairs)
+        return pairs
+
+    monkeypatch.setattr(strata, "labelled_chains", counted_walk)
     for module, name, key in (
         (chains, "enumerate_chains", "enumerations"),  # pel_lattices
         (strata, "enumerate_chains", "enumerations"),
-        (strata, "stratum_label", "labels"),
     ):
         _count_calls(monkeypatch, counts, module, name, key)
+    for module in (chains, cli, deform, dieudonne, invariants, strata):
+        if hasattr(module, "stratum_label"):
+            _count_calls(monkeypatch, counts, module, "stratum_label", "labels")
     for _ in range(2):
-        counts.clear()
+        counts.update(dict.fromkeys(keys, 0))
         ok, _ = _suite_hodge(4, [2])
         assert ok
-        assert counts == {"enumerations": 17, "labels": 6890}
+        assert counts == {
+            "walks": 17, "chains labelled": 6890, "enumerations": 0, "labels": 0
+        }
 
 
 def test_witness_search_work_counts(monkeypatch):
