@@ -14,7 +14,6 @@ from .chains import (
     enumerate_chains,
     fiber_chains,
     orbits,
-    pel_lattices,
 )
 from .deform import (
     FamilyChain,
@@ -72,7 +71,6 @@ __all__ = [
     "linear_raise",
     "m1_vanishes",
     "orbits",
-    "pel_lattices",
     "prime_field",
     "product_census",
     "product_poset",

@@ -10,7 +10,13 @@ obtained by rescaling each level by the appropriate power of u), the
 action of the truncated group GL_2(K[u]/(u^e)) (its elements are
 umod.UMatrix values with unit determinant), orbit computation by one BFS
 over a generating set of O(e q) elementary and diagonal matrices, and the
-fibers of the endpoint map (chain -> omega^(e)).
+fibers of the endpoint map (chain -> omega^(e)) by a downward recursion,
+fiber_chains: the independent reference for the fibers strata.census
+reads off its walk.
+
+The canonical order of chains is that of their raw RREF rows,
+PRChain.key(); elements of F_p are ints and those of F_{p^f} are tuples
+in field_elements order, so the rows compare as the elements do.
 
 Truncation note: the group action on lattices containing u^e * Lambda_0
 factors through GL_2(K[u]/(u^e)) -- for g congruent to g' mod u^e and any
@@ -72,11 +78,8 @@ class PRChain:
     def is_valid(self):
         return not self.validate()
 
-    def sort_key(self):
-        return tuple(w.sort_key() for w in self.levels)
-
     def key(self):
-        """Hashable canonical identity of the chain."""
+        """Hashable canonical identity of the chain; also its sort key."""
         return tuple(w.rows for w in self.levels)
 
     def serialize(self):
@@ -190,7 +193,7 @@ def labelled_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
         if (c, T) not in labels:
             labels[c, T] = StratumLabel((c, e - c), T)
         out.append((PRChain(ctx, e, levels[1:]), labels[c, T]))
-    out.sort(key=lambda pair: pair[0].sort_key())
+    out.sort(key=lambda pair: pair[0].key())
     return out
 
 
@@ -403,13 +406,5 @@ def fiber_chains(W, e):
     results = [
         PRChain(ctx, e, levels) for levels in descend([W])
     ]
-    results.sort(key=PRChain.sort_key)
+    results.sort(key=PRChain.key)
     return results
-
-
-def pel_lattices(e, ctx, bound=DEFAULT_CHAIN_BOUND):
-    """The endpoint lattices: distinct omega^(e) over all chains, sorted."""
-    tops = {}
-    for c in enumerate_chains(e, ctx, bound=bound):
-        tops[c.top.rows] = c.top
-    return sorted(tops.values(), key=Subspace.sort_key)

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .chains import PRChain, fiber_chains, orbits, pel_lattices
+from .chains import PRChain, orbits
 from .deform import (
     hodge_raise,
     invert_m1,
@@ -371,10 +371,8 @@ def _cmd_fibers(args):
     qs = _parse_q_list(args.q)
     lines = ["e,q,index,lambda,fiber_count"]
     for q in qs:
-        ctx = small_field(q)
-        for idx, w in enumerate(pel_lattices(args.e, ctx)):
-            lam = hodge(w)
-            n = len(fiber_chains(w, args.e))
+        fibers = census(args.e, small_field(q)).fibers
+        for idx, (_, (lam, n)) in enumerate(sorted(fibers.items())):
             lines.append(f"{args.e},{q},{idx},\"({lam[0]},{lam[1]})\",{n}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

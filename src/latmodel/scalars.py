@@ -292,20 +292,6 @@ class FieldCtx:
             den = tuple(K.mul(c, li) for c in den)
         return (num, den)
 
-    def sort_key(self, a):
-        if self.kind == "prime":
-            return (a,)
-        if self.kind == "extension":
-            return a
-        if self.kind == "rational_t":
-            K = self.base
-            return (
-                tuple(K.sort_key(c) for c in a[0]),
-                tuple(K.sort_key(c) for c in a[1]),
-            )
-        K = self.base
-        return tuple(K.sort_key(c) for c in a)
-
     def serialize(self, a):
         if self.kind == "prime":
             return a

@@ -12,8 +12,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 
-from .chains import enumerate_chains, fiber_chains, labelled_chains
-from .chains import orbit_transports, pel_lattices
+from .chains import enumerate_chains, labelled_chains, orbit_transports
 from .deform import (
     hodge_raise,
     invert_m1,
@@ -26,7 +25,6 @@ from .deform import (
 from .dieudonne import labeled_with_m1
 from .errors import DegenerateF, InvalidInput, LatModelError, NotFound
 from .invariants import StratumLabel, hodge, naive_leq
-from .umod import Subspace
 
 
 # ----------------------------------------------------------------------
@@ -34,18 +32,19 @@ from .umod import Subspace
 # ----------------------------------------------------------------------
 class Census:
     """One exhaustive pass at (e, q): chains per linear stratum label, and
-    distinct endpoint lattices per Hodge pair.
+    the fibers of the endpoint map, top rows -> (lambda, chains over that
+    top), one entry per distinct omega^(e).
 
     Every count the dimension formulas interpolate in q derives from it.
     """
 
-    __slots__ = ("e", "q", "counts", "lattices")
+    __slots__ = ("e", "q", "counts", "fibers")
 
-    def __init__(self, e, q, counts, lattices):
+    def __init__(self, e, q, counts, fibers):
         self.e = e
         self.q = q
         self.counts = dict(counts)
-        self.lattices = dict(lattices)
+        self.fibers = fibers
 
     def total(self):
         return sum(self.counts.values())
@@ -73,7 +72,7 @@ class Census:
 
     def lattice_counts_by_hodge(self):
         """Endpoint lattices (distinct omega^(e)) per Hodge pair."""
-        return dict(self.lattices)
+        return dict(Counter(lam for lam, _ in self.fibers.values()))
 
 
 def census(e, ctx):
@@ -82,14 +81,15 @@ def census(e, ctx):
     The labels come from the walk itself (chains.labelled_chains): level i
     adds v with u v in omega^(i-1), the nilpotency index grows by one iff
     u^c v != 0 (c the index so far), and m_i = 0 iff u v lies in
-    omega^(i-2), since u omega^(i-1) always does.
+    omega^(i-2), since u omega^(i-1) always does.  A chain's lambda is its
+    top's, so the same walk counts the chains over each top.
     """
-    counts = Counter()
-    tops = {}
+    counts, fibers = Counter(), {}
     for c, lab in labelled_chains(e, ctx):
         counts[lab] += 1
-        tops[c.top.rows] = lab.lam
-    out = Census(e, ctx.order, counts, Counter(tops.values()))
+        lam, n = fibers.get(c.top.rows, (lab.lam, 0))
+        fibers[c.top.rows] = (lam, n + 1)
+    out = Census(e, ctx.order, counts, fibers)
     if out.total() != (ctx.order + 1) ** e:
         raise AssertionError("census mass is not (q+1)^e (bug)")
     return out
@@ -268,22 +268,19 @@ def chain_counts_by_T(e, ctx):
 def fiber_constancy(e, ctx):
     """Fiber cardinalities of chain -> endpoint, grouped by lattice hodge.
 
-    Returns dict lam -> (fiber count, number of lattices); raises
-    AssertionError if the count is not constant within a hodge class.
+    Reads the fibers of census(e, ctx): its one walk gives every endpoint
+    lattice with its lambda and the number of chains over it.  Returns
+    dict lam -> (fiber count, number of lattices); raises AssertionError
+    if the count is not constant within a hodge class.
     """
     out = {}
-    for w in pel_lattices(e, ctx):
-        lam = hodge(w)
-        n = len(fiber_chains(w, e))
-        if lam in out:
-            cnt, m = out[lam]
-            if cnt != n:
-                raise AssertionError(
-                    f"fiber count not constant on hodge class {lam}: {cnt} vs {n}"
-                )
-            out[lam] = (cnt, m + 1)
-        else:
-            out[lam] = (n, 1)
+    for lam, n in census(e, ctx).fibers.values():
+        cnt, m = out.get(lam, (n, 0))
+        if cnt != n:
+            raise AssertionError(
+                f"fiber count not constant on hodge class {lam}: {cnt} vs {n}"
+            )
+        out[lam] = (cnt, m + 1)
     return out
 
 

@@ -103,10 +103,6 @@ class UVec:
             raise InvalidInput("coefficient lists must have length N")
         return cls(ctx, N, tuple(a + b))
 
-    def sort_key(self):
-        K = self.ctx
-        return tuple(K.sort_key(c) for c in self.coeffs)
-
     def __repr__(self):
         terms = []
         K, N = self.ctx, self.N
@@ -419,9 +415,6 @@ class Subspace:
         return Subspace.span(
             ctx, self.N, [v.map_coeffs(fn, ctx) for v in self.basis()]
         )
-
-    def sort_key(self):
-        return tuple(v.sort_key() for v in self.basis())
 
     def serialize(self):
         return {"N": self.N, "basis": [v.serialize() for v in self.basis()]}

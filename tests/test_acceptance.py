@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from latmodel.chains import enumerate_chains, fiber_chains, orbits, pel_lattices
+from latmodel.chains import enumerate_chains, orbits
 from latmodel.cli import main as cli_main
 from latmodel.deform import hodge_raise, invert_m1
 from latmodel.dieudonne import ag_witness, f_one, labeled_with_m1

@@ -20,12 +20,12 @@ from latmodel.chains import (
     labelled_chains,
     orbit_transports,
     orbits,
-    pel_lattices,
     standard_free_chain,
 )
 from latmodel import chains as chains_mod
-from latmodel.invariants import stratum_label
+from latmodel.invariants import hodge, stratum_label
 from latmodel.scalars import field_elements, prime_field, small_field
+from latmodel.strata import census
 from latmodel.umod import Subspace, UVec, span
 
 F2 = prime_field(2)
@@ -214,21 +214,26 @@ def test_orbit_transports_are_transports():
 
 
 def test_fibers_partition_chains_over_lattices():
-    e, ctx = 3, F2
-    chains = enumerate_chains(e, ctx)
-    lattices = pel_lattices(e, ctx)
-    fiber_sizes = 0
-    seen = set()
-    for W in lattices:
-        fib = fiber_chains(W, e)
-        for ch in fib:
-            assert ch.is_valid()
-            assert ch.top == W
-            assert ch.key() not in seen
-            seen.add(ch.key())
-        fiber_sizes += len(fib)
-    assert fiber_sizes == len(chains)
-    assert seen == {ch.key() for ch in chains}
+    # fiber_chains (downward recursion from the top) is the reference for
+    # the fibers the census reads off its walk, top by top
+    for e, ctx in ((3, F2), (3, F3), (4, F2)):
+        chains = enumerate_chains(e, ctx)
+        lattices = {ch.top.rows: ch.top for ch in chains}
+        fibers = census(e, ctx).fibers
+        assert set(fibers) == set(lattices)
+        fiber_sizes = 0
+        seen = set()
+        for W in lattices.values():
+            fib = fiber_chains(W, e)
+            for ch in fib:
+                assert ch.is_valid()
+                assert ch.top == W
+                assert ch.key() not in seen
+                seen.add(ch.key())
+            fiber_sizes += len(fib)
+            assert fibers[W.rows] == (hodge(W), len(fib))
+        assert fiber_sizes == len(chains)
+        assert seen == {ch.key() for ch in chains}
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,8 @@ linear-algebra core was consolidated (the two ``*_raise.json`` outputs
 before the named recipes became one construction, ``poset_e4_q2.json``
 before the witness search reused levels across tries, ``poset_e4_q3.json``
 before the 2x2 matrices over K[u]/(u^e) became one type and the orbit
-generating set shrank); a refactor that changes
+generating set shrank, ``fibers_e4_q2,3.csv`` before the endpoint fibers
+were read off the census walk); a refactor that changes
 any output byte fails here.  ``chain_e3_q2.json`` (chain 4 of ``enumerate_chains(3,
 F_2)``, label ((2,1), {2})) and ``witness_m2_c1_q2.json`` (the output of
 ``witness --m 2 --c 1 --q 2``) and ``raise_input_e4_q2.json`` (chain 4 of
@@ -38,6 +39,7 @@ RAISE = str(GOLDEN / "raise_input_e4_q2.json")
 CASES = {
     "census_e4_q2,3.csv": ["census", "--e", "4", "--q", "2,3"],
     "census_e4_q2,3.json": ["census", "--e", "4", "--q", "2,3", "--format", "json"],
+    "fibers_e4_q2,3.csv": ["fibers", "--e", "4", "--q", "2,3"],
     "poset_e3_q2.json": ["poset", "--e", "3", "--q", "2"],
     "poset_e3_q2.dot": ["poset", "--e", "3", "--q", "2", "--format", "dot"],
     "poset_e4_q2.json": ["poset", "--e", "4", "--q", "2"],
@@ -82,6 +84,7 @@ def _run(argv, dest):
 DIGEST_CASES = (
     "verify --suite hodge --e 4 --q 2",
     "verify --suite hasse --e 4 --q 2",
+    "verify --suite flatness --e 4 --q 2",
 )
 
 

@@ -139,8 +139,7 @@ def test_field_elements_canonical_and_complete():
         elems = field_elements(ctx)
         assert len(elems) == q
         assert len(set(elems)) == q
-        keys = [ctx.sort_key(e) for e in elems]
-        assert keys == sorted(keys)
+        assert elems == sorted(elems)
 
 
 def test_irreducibility_validation():

@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from latmodel import chains, cli, deform, dieudonne, invariants, strata
-from latmodel.chains import enumerate_chains, pel_lattices
-from latmodel.cli import _suite_hodge
+from latmodel.chains import enumerate_chains
+from latmodel.cli import _suite_flatness, _suite_hodge
 from latmodel.dieudonne import ag_witness
 from latmodel.errors import InvalidInput
 from latmodel.invariants import StratumLabel, hodge, stratum_label
@@ -103,13 +103,14 @@ def test_counts_by_hodge_and_T_are_polynomial_in_q():
 
 def test_census_derivations_match_direct_counts():
     # direct counts: hodge of every chain's top, hodge of every endpoint
-    # lattice from pel_lattices, T of every chain's label
+    # lattice (the distinct tops), T of every chain's label
     for e, ctx in ((3, F3), (4, F2)):
         cen = census(e, ctx)
         every = enumerate_chains(e, ctx)
         assert cen.chain_counts_by_hodge() == Counter(hodge(c.top) for c in every)
+        tops = {c.top.rows: c.top for c in every}
         assert cen.lattice_counts_by_hodge() == Counter(
-            hodge(w) for w in pel_lattices(e, ctx)
+            hodge(w) for w in tops.values()
         )
         assert cen.chain_counts_by_T() == Counter(
             tuple(sorted(stratum_label(c).T)) for c in every
@@ -130,12 +131,9 @@ def _count_calls(monkeypatch, counts, module, name, key):
     monkeypatch.setattr(module, name, wrapper)
 
 
-def test_hodge_suite_work_counts(monkeypatch):
-    """One labelled walk per (e, q): 16 censuses for the totals (e = 1..4,
-    q = 2..5) plus (4, 7) for the fits; no cache across calls.  The walk
-    labels every chain itself, so stratum_label is never called."""
-    keys = ("walks", "chains labelled", "enumerations", "labels")
-    counts = dict.fromkeys(keys, 0)
+def _count_walks(monkeypatch, counts):
+    """Count census walks under counts["walks"], their chains under
+    counts["chains labelled"]."""
     walk = strata.labelled_chains
 
     def counted_walk(*args, **kwargs):
@@ -145,8 +143,17 @@ def test_hodge_suite_work_counts(monkeypatch):
         return pairs
 
     monkeypatch.setattr(strata, "labelled_chains", counted_walk)
+
+
+def test_hodge_suite_work_counts(monkeypatch):
+    """One labelled walk per (e, q): 16 censuses for the totals (e = 1..4,
+    q = 2..5) plus (4, 7) for the fits; no cache across calls.  The walk
+    labels every chain itself, so stratum_label is never called."""
+    keys = ("walks", "chains labelled", "enumerations", "labels")
+    counts = dict.fromkeys(keys, 0)
+    _count_walks(monkeypatch, counts)
     for module, name, key in (
-        (chains, "enumerate_chains", "enumerations"),  # pel_lattices
+        (chains, "enumerate_chains", "enumerations"),
         (strata, "enumerate_chains", "enumerations"),
     ):
         _count_calls(monkeypatch, counts, module, name, key)
@@ -159,6 +166,31 @@ def test_hodge_suite_work_counts(monkeypatch):
         assert ok
         assert counts == {
             "walks": 17, "chains labelled": 6890, "enumerations": 0, "labels": 0
+        }
+
+
+def test_flatness_suite_work_counts(monkeypatch):
+    """One labelled walk per sample field (q = 2..5 at e = 4: 81 + 256 +
+    625 + 1,296 chains); the fibers and their lambda come from the walk,
+    so no chain is enumerated again and no lattice's hodge is computed."""
+    keys = ("walks", "chains labelled", "enumerations", "fibers", "hodges")
+    counts = dict.fromkeys(keys, 0)
+    _count_walks(monkeypatch, counts)
+    for module in (chains, cli, deform, dieudonne, invariants, strata):
+        for name, key in (
+            ("enumerate_chains", "enumerations"),
+            ("fiber_chains", "fibers"),
+            ("hodge", "hodges"),
+        ):
+            if hasattr(module, name):
+                _count_calls(monkeypatch, counts, module, name, key)
+    for _ in range(2):
+        counts.update(dict.fromkeys(keys, 0))
+        ok, _ = _suite_flatness(4, [2])
+        assert ok
+        assert counts == {
+            "walks": 4, "chains labelled": 2258, "enumerations": 0,
+            "fibers": 0, "hodges": 0,
         }
 
 
