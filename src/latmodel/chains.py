@@ -151,6 +151,29 @@ def _nil_order(v):
     return 0
 
 
+def _nilpotency(w):
+    """Least k with u^k W = 0: the largest _nil_order over W's basis."""
+    return max(map(_nil_order, w.basis()))
+
+
+def walk_label(levels):
+    """Linear label of u-stable levels with one-dimensional steps, exact
+    over any field (K(t) too), by labelled_chains' rules: lambda = (c, e - c),
+    c the top's nilpotency index; m_i = 0 iff u w lies in omega^(i-2), for w
+    the RREF row of omega^(i) whose pivot omega^(i-1) lacks."""
+    e, c = len(levels), _nilpotency(levels[-1])
+    flag = (Subspace.zero(levels[0].ctx, e),) + tuple(levels)  # omega^(0..e)
+    T = []
+    for i in range(2, e + 1):
+        prev, w = flag[i - 1], flag[i]
+        new = next(r for r, p in zip(w.rows, w.pivots) if p not in prev.pivots)
+        if flag[i - 2].contains_vec(UVec(w.ctx, e, new).u_mult()):
+            T.append(i)
+    if (c == e) != (not T):
+        raise AssertionError("walk label: lambda = (e, 0) iff T empty fails (bug)")
+    return StratumLabel((c, e - c), T)
+
+
 def labelled_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
     """All valid chains over a finite field with their linear labels, as
     (chain, StratumLabel) pairs sorted canonically.
@@ -168,7 +191,7 @@ def labelled_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
       u omega^(i-1) + K u v and u omega^(i-1) lies in omega^(i-2) already.
 
     Checked on every chain: c_e is the nilpotency index read off the top's
-    own basis, and lambda = (e, 0) iff T is empty.
+    own basis, and lambda = (e, 0) iff T is empty.  Same rules: walk_label.
     """
     q = ctx.order
     if (q + 1) ** e > bound:
@@ -188,7 +211,7 @@ def labelled_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
         partial = nxt
     labels, out = {}, []
     for levels, c, T in partial:
-        if max(map(_nil_order, levels[-1].basis())) != c or (c == e) != (not T):
+        if _nilpotency(levels[-1]) != c or (c == e) != (not T):
             raise AssertionError("walk label disagrees with the chain's top (bug)")
         if (c, T) not in labels:
             labels[c, T] = StratumLabel((c, e - c), T)

@@ -25,7 +25,7 @@ from .deform import (
 )
 from .dieudonne import DieudonneModel, ag_witness, labeled_with_m1, m1_vanishes
 from .errors import InvalidInput, LatModelError, NotFound
-from .invariants import StratumLabel, hodge, stratum_label
+from .invariants import StratumLabel, hodge, is_free_rank_one, stratum_label
 from .scalars import ctx_from_serialized, small_field
 from .strata import (
     EXPECTED_NONEMPTY_E4,
@@ -34,7 +34,6 @@ from .strata import (
     census,
     census_csv,
     degree_fit,
-    emptiness_table,
     fiber_constancy,
     hodge_step_check,
 )
@@ -176,7 +175,8 @@ def _suite_hasse(e, qs):
     ok = True
     for q in qs:
         ctx = small_field(q)
-        table = emptiness_table(e, ctx)
+        cen = census(e, ctx)
+        table = cen.emptiness_table()
         if e == 4:
             good = table == EXPECTED_NONEMPTY_E4
             empt = frozenset({4}) not in table.get((2, 2), frozenset())
@@ -205,10 +205,15 @@ def _suite_hasse(e, qs):
                 "converse_examples": len(conv),
             }
         )
-        # the three-way equivalence is asserted inside stratum_label;
-        # exercising the census above covers every chain.
+        # lambda = (e, 0) iff T is empty iff the top is free of rank one
+        top = lambda rows: Subspace.span(ctx, e, [UVec(ctx, e, r) for r in rows])
+        good = all((lab.lam == (e, 0)) == (not lab.T) for lab in cen.counts) and all(
+            is_free_rank_one(top(rows)) == (lam == (e, 0))
+            for rows, (lam, _) in cen.fibers.items()
+        )
+        ok &= good
         report["checks"].append(
-            {"check": "maximal-stratum-equivalence", "q": q, "ok": True}
+            {"check": "maximal-stratum-equivalence", "q": q, "ok": good}
         )
         if e == 4:
             model, chain = ag_witness(2, 1, ctx)

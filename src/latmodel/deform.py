@@ -28,13 +28,14 @@ Provided constructions:
   constant mod t^2).
 * ``search_witness`` -- deterministic first-order perturbation search
   for edges with no named recipe.  Each level is built once per
-  (previous level, move) and each distinct family is checked once; the
+  (previous level, move), each distinct family is walk-labelled once
+  (chains.walk_label) and only the one returned gets a K(t) label; the
   tries and the family found are those of building every candidate afresh.
 """
 
 from __future__ import annotations
 
-from .chains import PRChain
+from .chains import PRChain, walk_label
 from .dieudonne import f_one, m1_vanishes
 from .errors import (
     AllMinorsVanish,
@@ -292,10 +293,11 @@ class FamilyChain:
             raise AllMinorsVanish("truncated family carries no certificate")
         return self.cert.label
 
-    def semicontinuity_audit(self):
-        """hodge can only rise and T can only shrink at the generic fiber."""
+    def semicontinuity_audit(self, gen=None):
+        """lambda only rises, T only shrinks at the generic fiber (gen: its label)."""
         sp = stratum_label(self.specialize())
-        gen = self.generic_label()
+        if gen is None:
+            gen = self.generic_label()
         return dominance_leq(sp.lam, gen.lam) and sp.T >= gen.T
 
     def serialize(self):
@@ -784,6 +786,9 @@ def search_witness(chain, target, budget=DEFAULT_SEARCH_BUDGET):
     level rejects every try that reaches it, and a family already seen
     (same canonical rows) was already rejected.  Tries, order, budget and result
     are those of building and checking every candidate afresh.
+    Each distinct family is labelled first by chains.walk_label; only one
+    with the target label is validated and specialized, and the family
+    returned must have that full stratum_label too (a bug trap otherwise).
     """
     from itertools import combinations, product
 
@@ -821,8 +826,12 @@ def search_witness(chain, target, budget=DEFAULT_SEARCH_BUDGET):
                 if key in seen:
                     continue
                 seen.add(key)
+                if walk_label(levels) != tgt:
+                    continue
                 fam = FamilyChain("exact_rational", ctx, kt, e, levels)
-                if _is_witness(fam, chain, tgt):
+                if _is_witness(fam, chain):
+                    if fam.generic_label().linear() != tgt:
+                        raise AssertionError("walk label is not the K(t) label (bug)")
                     return fam
     raise NotFound(f"no witness within budget (tried {attempts})")
 
@@ -864,12 +873,11 @@ def _perturb_level(prev, vk, move, tdeltas):
     return Subspace.span(kt, prev.N, prev.basis() + [y])
 
 
-def _is_witness(fam, chain, tgt):
-    """A valid family specializing to chain with generic linear label tgt."""
+def _is_witness(fam, chain):
+    """A valid family specializing to chain."""
     if fam.validate():
         return False
     try:
-        special = fam.specialize()
+        return fam.specialize() == chain
     except LatModelError:
         return False
-    return special == chain and fam.generic_label().linear() == tgt

@@ -22,7 +22,7 @@ from .deform import (
     transport_family,
     with_precision_retry,
 )
-from .dieudonne import labeled_with_m1
+from .dieudonne import m1_vanishes
 from .errors import DegenerateF, InvalidInput, LatModelError, NotFound
 from .invariants import StratumLabel, hodge, naive_leq
 
@@ -73,6 +73,13 @@ class Census:
     def lattice_counts_by_hodge(self):
         """Endpoint lattices (distinct omega^(e)) per Hodge pair."""
         return dict(Counter(lam for lam, _ in self.fibers.values()))
+
+    def emptiness_table(self):
+        """Nonempty T-sets per hodge pair."""
+        table = {}
+        for lab in self.counts:
+            table.setdefault(lab.lam, set()).add(lab.T)
+        return {lam: frozenset(ts) for lam, ts in table.items()}
 
 
 def census(e, ctx):
@@ -142,10 +149,7 @@ EXPECTED_NONEMPTY_E4 = {
 
 def emptiness_table(e, ctx):
     """Nonempty T-sets per hodge pair, from the exhaustive census."""
-    table = {}
-    for lab in census(e, ctx).labels():
-        table.setdefault(lab.lam, set()).add(lab.T)
-    return {lam: frozenset(ts) for lam, ts in table.items()}
+    return census(e, ctx).emptiness_table()
 
 
 def hodge_step_check(e, ctx):
@@ -315,17 +319,17 @@ _NAMED_EDGES = {
 
 
 def _certify_edge_point(chain, lower, upper):
-    """Witness family for one census point of a covering edge."""
+    """(method, family, generic label); the recipes and the search confirm upper."""
     key = ((lower.lam, lower.T), (upper.lam, upper.T))
     if key in _NAMED_EDGES:
         variant = _NAMED_EDGES[key]
-        return f"731-{variant}", recipe_7_3_1(chain, variant)
+        return f"731-{variant}", recipe_7_3_1(chain, variant), upper
     if upper.lam == (lower.lam[0] + 1, lower.lam[1] - 1):
         fam = hodge_raise(chain)
-        if fam.generic_label().linear() == upper:
-            return "hodge-raise", fam
-    fam = search_witness(chain, upper)
-    return "search", fam
+        gen = fam.generic_label()
+        if gen.linear() == upper:
+            return "hodge-raise", fam, gen
+    return "search", search_witness(chain, upper), upper
 
 
 class PosetReport:
@@ -410,11 +414,11 @@ def build_poset(e, ctx, model=None, m1_seed=None):
         pending = []
         for point in groups[lower]:
             try:
-                method, fam = _certify_edge_point(point, lower, upper)
+                method, fam, gen = _certify_edge_point(point, lower, upper)
             except NotFound:
                 pending.append(point)
                 continue
-            if not fam.semicontinuity_audit():
+            if not fam.semicontinuity_audit(gen):
                 report.failures.append(
                     {
                         "edge": [lower.serialize(), upper.serialize()],
@@ -447,8 +451,8 @@ def build_poset(e, ctx, model=None, m1_seed=None):
                 cand = transport_family(certified[mate.key()], g)
                 if (
                     cand.specialize() == point
-                    and cand.generic_label().linear() == upper
-                    and cand.semicontinuity_audit()
+                    and (gen := cand.generic_label()).linear() == upper
+                    and cand.semicontinuity_audit(gen)
                 ):
                     fam = cand
             if fam is None:
@@ -483,7 +487,7 @@ def _build_m1_layer(report, e, ctx, model, groups):
     for lab in sorted(groups, key=StratumLabel.key):
         for point in groups[lab]:
             try:
-                refined = labeled_with_m1(model, point)
+                refined = lab.with_m1("0" if m1_vanishes(model, point) else "1")
             except DegenerateF:
                 continue
             witnesses.setdefault(refined, point)

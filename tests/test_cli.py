@@ -10,8 +10,9 @@ from latmodel import cli
 from latmodel.chains import enumerate_chains
 from latmodel.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from latmodel.dieudonne import ag_witness
-from latmodel.invariants import stratum_label
+from latmodel.invariants import StratumLabel, stratum_label
 from latmodel.scalars import prime_field
+from latmodel.strata import census
 
 F2 = prime_field(2)
 
@@ -74,6 +75,28 @@ def test_verify_hasse_suite(capsys):
     assert "suite hasse: ok" in err
     rep = json.loads(out)
     assert rep["ok"] is True
+
+
+@pytest.mark.parametrize("plant", ["label", "top"])
+def test_hasse_suite_fails_on_a_bad_maximal_stratum(plant, capsys, monkeypatch):
+    # a census with lambda = (3,0) but m_2 = 0, or with a top whose lambda
+    # is not (3,0) although it is free of rank one, fails the equivalence
+    def planted(e, ctx):
+        cen = census(e, ctx)
+        if plant == "label":
+            cen.counts[StratumLabel((e, 0), {2})] = 1
+        else:
+            rows = next(r for r, (lam, _) in cen.fibers.items() if lam == (e, 0))
+            cen.fibers[rows] = ((e - 1, 1), cen.fibers[rows][1])
+        return cen
+
+    monkeypatch.setattr(cli, "census", planted)
+    code, out, err = run(["verify", "--suite", "hasse", "--e", "3", "--q", "2"], capsys)
+    assert code == EXIT_FAIL
+    assert "suite hasse: FAIL" in err
+    checks = json.loads(out)["suites"][0]["checks"]
+    assert [c["ok"] for c in checks] == [True, False]
+    assert checks[1]["check"] == "maximal-stratum-equivalence"
 
 
 @pytest.mark.parametrize("e", [1, 2])

@@ -6,7 +6,7 @@ import json
 from itertools import combinations, product
 
 from latmodel import deform
-from latmodel.chains import PRChain, enumerate_chains, group_generators
+from latmodel.chains import PRChain, enumerate_chains, group_generators, walk_label
 from latmodel.deform import (
     DEFAULT_SEARCH_BUDGET,
     FamilyChain,
@@ -38,7 +38,7 @@ def _label_or_none(model, chain):
 from latmodel.errors import InvalidInput, LatModelError, NotDeformable, NotFound
 from latmodel.invariants import StratumLabel, dominance_leq, naive_leq, stratum_label
 from latmodel.scalars import prime_field, rational_ctx
-from latmodel.strata import _covering_edges, census_by_point
+from latmodel.strata import _covering_edges, build_poset, census_by_point
 from latmodel.umod import Subspace, UVec
 
 F2 = prime_field(2)
@@ -228,16 +228,61 @@ def test_family_serialization_has_trace_and_certificate():
     assert obj2["certificate"]["label"].startswith("lambda=(2,2)")
 
 
+def _e4_search():
+    """A search with candidates of the target label: the first point of
+    ((3,1), {3,4}) at e = 4 over F_2 towards ((3,1), {3})."""
+    point = census_by_point(4, F2)[StratumLabel((3, 1), {3, 4})][0]
+    return point, StratumLabel((3, 1), {3})
+
+
 def test_search_witness_propagates_bug_traps(monkeypatch):
     # only library errors mark a candidate as degenerate; a bug trap raised
-    # while specializing must reach the caller, not become NotFound
+    # while specializing a candidate of the target label must reach the
+    # caller, not become NotFound
     def broken(self):
         raise AssertionError("planted bug")
 
     monkeypatch.setattr(FamilyChain, "specialize", broken)
-    ch = _worked_chain(F2)
     with pytest.raises(AssertionError, match="planted bug"):
-        search_witness(ch, StratumLabel((3, 0), set()))
+        search_witness(*_e4_search())
+
+
+def test_search_witness_confirms_walk_label(monkeypatch):
+    # the family found gets one full K(t) label; one that disagrees with
+    # the walk label is a bug trap, not a rejected candidate
+    point, target = _e4_search()
+    assert search_witness(point, target).generic_label().linear() == target
+    monkeypatch.setattr(
+        FamilyChain, "generic_label", lambda self: StratumLabel((4, 0), ())
+    )
+    with pytest.raises(AssertionError, match="walk label is not the K"):
+        search_witness(point, target)
+
+
+@pytest.mark.parametrize(
+    "e, ctx, families",
+    [(3, F2, 15), (3, F3, 24), (4, F2, 147)],
+    ids=["e3q2", "e3q3", "e4q2"],
+)
+def test_walk_label_matches_stratum_label(e, ctx, families, monkeypatch):
+    # every distinct candidate family of the poset's searches (the same
+    # family may come up in several searches): the walk rules give the
+    # label stratum_label computes over K(t)
+    seen = {}
+    try_perturbation = deform._try_perturbation
+
+    def recorded(gens, tdeltas, moves, cache):
+        levels = try_perturbation(gens, tdeltas, moves, cache)
+        if levels is not None:
+            seen.setdefault(tuple(w.rows for w in levels), levels)
+        return levels
+
+    monkeypatch.setattr(deform, "_try_perturbation", recorded)
+    build_poset(e, ctx)
+    kt = rational_ctx(ctx)
+    for levels in seen.values():
+        assert walk_label(levels) == stratum_label(PRChain(kt, e, levels)).linear()
+    assert len(seen) == families
 
 
 def _search_afresh(chain, target, budget, tried):

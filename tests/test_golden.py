@@ -7,7 +7,8 @@ before the named recipes became one construction, ``poset_e4_q2.json``
 before the witness search reused levels across tries, ``poset_e4_q3.json``
 before the 2x2 matrices over K[u]/(u^e) became one type and the orbit
 generating set shrank, ``fibers_e4_q2,3.csv`` before the endpoint fibers
-were read off the census walk); a refactor that changes
+were read off the census walk, ``verify_all_e4_q2.json`` before the witness
+search labelled its candidates by the walk rules); a refactor that changes
 any output byte fails here.  ``chain_e3_q2.json`` (chain 4 of ``enumerate_chains(3,
 F_2)``, label ((2,1), {2})) and ``witness_m2_c1_q2.json`` (the output of
 ``witness --m 2 --c 1 --q 2``) and ``raise_input_e4_q2.json`` (chain 4 of
@@ -45,6 +46,7 @@ CASES = {
     "poset_e4_q2.json": ["poset", "--e", "4", "--q", "2"],
     "poset_e4_q3.json": ["poset", "--e", "4", "--q", "3"],
     "verify_hasse_e3_q2.json": ["verify", "--suite", "hasse", "--e", "3", "--q", "2"],
+    "verify_all_e4_q2.json": ["verify", "--suite", "all", "--e", "4", "--q", "2"],
     "orbits_e3_q2.json": ["orbits", "--e", "3", "--q", "2"],
     "deform_hodge-raise_e3.json": [
         "deform", "--chain", CHAIN, "--recipe", "hodge-raise",

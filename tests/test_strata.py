@@ -198,17 +198,24 @@ def test_witness_search_work_counts(monkeypatch):
     """The e = 4, q = 2 poset makes 36 searches and 37,441 tries, as when
     every candidate was built from scratch; each level is built once per
     (previous level, move) of a search (1,317 builds) and each distinct
-    family of a search is checked once (176 checks)."""
+    family of a search is labelled once by the walk rules (176 labels).
+    Only the 27 families with the target label are validated and
+    specialized, and a family's K(t) label is computed 141 times in all."""
     counts = Counter()
     for module, name, key in (
         (strata, "search_witness", "searches"),
         (deform, "_try_perturbation", "tries"),
         (deform, "_perturb_level", "levels"),
+        (deform, "walk_label", "walk labels"),
         (deform, "_is_witness", "checks"),
+        (deform.FamilyChain, "generic_label", "generic labels"),
     ):
         _count_calls(monkeypatch, counts, module, name, key)
     assert build_poset(4, F2).ok
-    assert counts == {"searches": 36, "tries": 37441, "levels": 1317, "checks": 176}
+    assert counts == {
+        "searches": 36, "tries": 37441, "levels": 1317, "walk labels": 176,
+        "checks": 27, "generic labels": 141,
+    }
 
 
 def test_fiber_constancy_and_counts():
