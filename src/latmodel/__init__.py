@@ -38,7 +38,7 @@ from .invariants import (
 )
 from .scalars import prime_field, rational_ctx, small_field, truncated_ctx
 from .strata import build_poset, census, degree_fit, emptiness_table, product_census
-from .umod import Subspace, UMatrix, UVec, span
+from .umod import Subspace, UMatrix, UVec
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "sigma_collapse",
     "sigma_raise",
     "small_field",
-    "span",
     "stratum_label",
     "transport_family",
     "truncated_ctx",

@@ -33,7 +33,7 @@ from .invariants import StratumLabel
 from .scalars import field_elements
 from .umod import Subspace, UMatrix, UVec
 
-DEFAULT_CHAIN_BOUND = 10 ** 6
+CHAIN_BOUND = 10 ** 6
 
 
 class PRChain:
@@ -174,7 +174,7 @@ def walk_label(levels):
     return StratumLabel((c, e - c), T)
 
 
-def labelled_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
+def labelled_chains(e, ctx):
     """All valid chains over a finite field with their linear labels, as
     (chain, StratumLabel) pairs sorted canonically.
 
@@ -194,8 +194,8 @@ def labelled_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
     own basis, and lambda = (e, 0) iff T is empty.  Same rules: walk_label.
     """
     q = ctx.order
-    if (q + 1) ** e > bound:
-        raise BoundExceeded(f"(q+1)^e = {(q + 1) ** e} exceeds bound {bound}")
+    if (q + 1) ** e > CHAIN_BOUND:
+        raise BoundExceeded(f"(q+1)^e = {(q + 1) ** e} exceeds bound {CHAIN_BOUND}")
     elements = field_elements(ctx)
     partial = [((Subspace.zero(ctx, e),), 0, ())]  # (omega^(0..i-1), c, T)
     for i in range(1, e + 1):
@@ -220,9 +220,9 @@ def labelled_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
     return out
 
 
-def enumerate_chains(e, ctx, bound=DEFAULT_CHAIN_BOUND):
+def enumerate_chains(e, ctx):
     """All valid chains over a finite field, sorted canonically."""
-    return [chain for chain, _ in labelled_chains(e, ctx, bound)]
+    return [chain for chain, _ in labelled_chains(e, ctx)]
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +343,7 @@ def group_generators(ctx, e):
     return shears + constants + one_units
 
 
-def orbits(e, ctx, bound=DEFAULT_CHAIN_BOUND):
+def orbits(e, ctx):
     """Partition of all chains into truncated-group orbits.
 
     Returns a list of (representative chain, orbit size), sorted by the
@@ -351,19 +351,19 @@ def orbits(e, ctx, bound=DEFAULT_CHAIN_BOUND):
     group order.  Derived from orbit_transports, the one orbit BFS.
     """
     reps, sizes = {}, {}
-    for rep, _ in orbit_transports(e, ctx, bound=bound).values():
+    for rep, _ in orbit_transports(e, ctx).values():
         reps.setdefault(rep.key(), rep)
         sizes[rep.key()] = sizes.get(rep.key(), 0) + 1
     return [(rep, sizes[k]) for k, rep in reps.items()]
 
 
-def orbit_transports(e, ctx, bound=DEFAULT_CHAIN_BOUND):
+def orbit_transports(e, ctx):
     """BFS orbit decomposition tracking group elements.
 
     Returns dict chain.key() -> (representative chain, g) with
     chain = act(g, representative).
     """
-    chains = enumerate_chains(e, ctx, bound=bound)
+    chains = enumerate_chains(e, ctx)
     gens = group_generators(ctx, e)
     out = {}
     for c in chains:

@@ -16,6 +16,8 @@ import sys
 
 from .chains import PRChain, orbits
 from .deform import (
+    DEFAULT_SEARCH_BUDGET,
+    DEFAULT_TRUNC_PRECISION,
     hodge_raise,
     invert_m1,
     recipe_7_3_1,
@@ -346,7 +348,7 @@ def _cmd_deform(args):
     if recipe == "hodge-raise":
         fam = hodge_raise(chain)
     elif recipe in ("731-1", "731-2"):
-        fam = recipe_7_3_1(chain, recipe[-1])
+        fam = recipe_7_3_1(chain, int(recipe[-1]))
     elif recipe in ("732-1", "732-2", "invert-m1"):
         if model is None:
             raise LatModelError(f"recipe {recipe} requires --model")
@@ -354,7 +356,7 @@ def _cmd_deform(args):
             fam = with_precision_retry(invert_m1, model, chain, N=args.precision)
         else:
             fam = with_precision_retry(
-                recipe_7_3_2, model, chain, recipe[-1], N=args.precision
+                recipe_7_3_2, model, chain, int(recipe[-1]), N=args.precision
             )
     elif recipe == "search":
         if not args.target:
@@ -425,11 +427,11 @@ def _cmd_witness(args):
 # ----------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------
-def _add_common(sp, e_default=4, q_default="2"):
-    sp.add_argument("--e", type=int, default=e_default, help="chain length e")
-    sp.add_argument(
-        "--q", default=q_default, help="comma-separated base field sizes"
-    )
+def _add_common(sp, e_default=4, field=True):
+    """--out, --jobs and --config; --e and --q too unless field is False."""
+    if field:
+        sp.add_argument("--e", type=int, default=e_default, help="chain length e")
+        sp.add_argument("--q", default="2", help="comma-separated base field sizes")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
     sp.add_argument(
         "--jobs",
@@ -499,7 +501,7 @@ def _build_parser():
         "invert-m1 (break m1 keeping linear invariants; needs --model), "
         "search (first-order witness search; needs --target).",
     )
-    _add_common(sp)
+    _add_common(sp, field=False)  # the chain file fixes e and q
     sp.add_argument("--chain", required=True, help="chain JSON file")
     sp.add_argument("--model", default=None, help="Frobenius model JSON file")
     sp.add_argument(
@@ -511,8 +513,8 @@ def _build_parser():
         ),
     )
     sp.add_argument("--target", default=None, help="target stratum label")
-    sp.add_argument("--precision", type=int, default=16)
-    sp.add_argument("--budget", type=int, default=4000)
+    sp.add_argument("--precision", type=int, default=DEFAULT_TRUNC_PRECISION)
+    sp.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     sp.set_defaults(fn=_cmd_deform)
 
     sp = sub.add_parser(
@@ -582,7 +584,7 @@ def main(argv=None):
             return exc.code
         if args.jobs < 1:
             raise LatModelError("--jobs must be at least 1")
-        if args.e < 1:
+        if getattr(args, "e", 1) < 1:
             raise LatModelError("--e must be at least 1")
         return args.fn(args)
     except NotFound as exc:

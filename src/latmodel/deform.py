@@ -54,23 +54,23 @@ from .invariants import (
     nilpotency_index,
     stratum_label,
 )
-from .scalars import rational_ctx, series_inv, series_mul, truncated_ctx
+from .scalars import (
+    DEFAULT_PRECISION,
+    rational_ctx,
+    series_inv,
+    series_mul,
+    truncated_ctx,
+)
 from .umod import Subspace, UMatrix, UVec, _nullspace, _rref
 
-DEFAULT_TRUNC_PRECISION = 16
+DEFAULT_TRUNC_PRECISION = DEFAULT_PRECISION
 MAX_TRUNC_PRECISION = 128
 DEFAULT_SEARCH_BUDGET = 4000
 
 
-# ----------------------------------------------------------------------
-# lifting helpers (base field -> t-extension, t-constant)
-# ----------------------------------------------------------------------
-def lift_vec(v, tctx):
-    return v.map_coeffs(tctx.lift, tctx)
-
-
-def lift_sub(w, tctx):
-    return w.map_coeffs(tctx.lift, tctx)
+def lift(x, tctx):
+    """A UVec or Subspace over the base field as a t-constant one over tctx."""
+    return x.map_coeffs(tctx.lift, tctx)
 
 
 def _u_power(v, n):
@@ -231,41 +231,56 @@ def _snf_adapted(w):
 class CertifiedLabel:
     """A generic-fiber label with its certification metadata."""
 
-    __slots__ = ("label", "exact", "metadata")
+    __slots__ = ("label", "metadata")
 
-    def __init__(self, label, exact, metadata=None):
+    def __init__(self, label, metadata=None):
         self.label = label
-        self.exact = exact
         self.metadata = dict(metadata or {})
 
     def serialize(self):
         return {
             "label": self.label.serialize(),
-            "exact": self.exact,
+            "exact": True,
             "metadata": self.metadata,
         }
 
 
+_MODES = {"rational_t": "exact_rational", "truncated_t": "truncated"}
+
+
 class FamilyChain:
-    """A chain over K(t) or K[t]/(t^N), specializing at t = 0."""
+    """A chain over K(t) or K[t]/(t^N), specializing at t = 0.
 
-    __slots__ = ("mode", "base_ctx", "tctx", "e", "levels", "model", "cert", "trace")
+    The ring tctx fixes the mode and the base field, the levels fix e;
+    hodge_raise attaches its DeformationTrace as ``trace``.
+    """
 
-    def __init__(self, mode, base_ctx, tctx, e, levels, model=None, cert=None, trace=None):
-        if mode not in ("exact_rational", "truncated"):
-            raise InvalidInput("unknown family mode")
-        self.mode = mode
-        self.base_ctx = base_ctx
+    __slots__ = ("tctx", "levels", "model", "cert", "trace")
+
+    def __init__(self, tctx, levels, model=None, cert=None):
+        if tctx.kind not in _MODES:
+            raise InvalidInput("a family lives over K(t) or K[t]/(t^N)")
         self.tctx = tctx
-        self.e = e
         self.levels = tuple(levels)
         self.model = model
         self.cert = cert
-        self.trace = trace
+        self.trace = None
+
+    @property
+    def mode(self):
+        return _MODES[self.tctx.kind]
+
+    @property
+    def base_ctx(self):
+        return self.tctx.base
+
+    @property
+    def e(self):
+        return self.levels[0].N
 
     @property
     def prec(self):
-        return self.tctx.N if self.mode == "truncated" else None
+        return self.tctx.N  # None over K(t)
 
     def as_chain(self):
         return PRChain(self.tctx, self.e, self.levels)
@@ -461,13 +476,13 @@ def hodge_raise(chain):
     kt = rational_ctx(ctx)
     trep = kt.t()
     ub1_f2 = _pad(_u_power(f2, b - 1))
-    vt = {k0: lift_vec(v[k0], kt).add(lift_vec(ub1_f2, kt).scale(trep))}
+    vt = {k0: lift(v[k0], kt).add(lift(ub1_f2, kt).scale(trep))}
     for n in range(1, e - k0 + 1):
         k = k0 + n
         if n in J:
-            vt[k] = lift_vec(v[k], kt).add(_div_u(vt[k - 1]).scale(trep))
+            vt[k] = lift(v[k], kt).add(_div_u(vt[k - 1]).scale(trep))
         else:
-            acc = _div_u(lift_vec(w[n], kt))
+            acc = _div_u(lift(w[n], kt))
             for l in range(n):
                 c = kt.lift(x[n][l])
                 if not kt.is_zero(c):
@@ -475,15 +490,15 @@ def hodge_raise(chain):
             vt[k] = acc
     vt = {k: _project(vec) for k, vec in vt.items()}
 
-    base_rows = [lift_vec(r, kt) for r in chain.level(k0 - 1).basis()]
+    base_rows = [lift(r, kt) for r in chain.level(k0 - 1).basis()]
     levels = []
     for k in range(1, e + 1):
         if k < k0:
-            levels.append(lift_sub(chain.level(k), kt))
+            levels.append(lift(chain.level(k), kt))
         else:
             gens = base_rows + [vt[kk] for kk in range(k0, k + 1)]
             levels.append(Subspace.span(kt, e, gens))
-    fam = FamilyChain("exact_rational", ctx, kt, e, levels)
+    fam = FamilyChain(kt, levels)
     _check_family(fam, chain)
     gen = fam.generic_label()
     if gen.lam != (i + 1, j - 1):
@@ -535,8 +550,8 @@ def _move_level(chain, k, power, tctx):
     else:
         raise NoValidAuxVector(f"u^-1(omega({k - 1})) lies inside E[u^{power}]")
     vk = _complement_generator(chain.level(k), chain.level(k - 1))
-    moved = lift_vec(vk, tctx).add(lift_vec(aux, tctx).scale(tctx.t()))
-    levels = [lift_sub(w, tctx) for w in chain.levels]
+    moved = lift(vk, tctx).add(lift(aux, tctx).scale(tctx.t()))
+    levels = [lift(w, tctx) for w in chain.levels]
     below = levels[k - 2].basis() if k > 1 else []
     levels[k - 1] = Subspace.span(tctx, chain.e, below + [moved])
     return levels, moved
@@ -546,7 +561,7 @@ def _linear_recipe(chain, k, power, source_T, lam, T):
     _require_label(chain, (2, 2), source_T)
     kt = rational_ctx(chain.ctx)
     levels, _ = _move_level(chain, k, power, kt)
-    fam = FamilyChain("exact_rational", chain.ctx, kt, chain.e, levels)
+    fam = FamilyChain(kt, levels)
     _check_family(fam, chain)
     gen = fam.generic_label()
     if gen.lam != lam or gen.T != frozenset(T):
@@ -575,10 +590,10 @@ def linear_raise(chain):
 
 
 def recipe_7_3_1(chain, variant):
-    """Dispatch by CLI token / variant number (1 or 2)."""
-    if variant in (1, "1", "collapse_to_m3_only"):
+    """Dispatch by variant number: 1 collapses, 2 raises (CLI 731-1 / 731-2)."""
+    if variant == 1:
         return linear_collapse(chain)
-    if variant in (2, "2", "raise_within_m3"):
+    if variant == 2:
         return linear_raise(chain)
     raise InvalidInput(f"unknown variant {variant!r}")
 
@@ -595,13 +610,12 @@ def _sigma_recipe(model, chain, N, k, power, source_T, lam, T, hodge_meta):
     _require_label(chain, (2, 2), source_T)
     if not m1_vanishes(model, chain):
         raise InvalidInput("recipe requires m1 = 0 at the special point")
-    ctx, e = chain.ctx, chain.e
-    tctx = truncated_ctx(ctx, N)
+    tctx = truncated_ctx(chain.ctx, N)
     levels, moved = _move_level(chain, k, power, tctx)
-    fam = FamilyChain("truncated", ctx, tctx, e, levels, model=model)
+    fam = FamilyChain(tctx, levels, model=model)
     _check_family(fam, chain)
     l1, l2, l3, l4 = levels
-    pre3_twist = lift_sub(chain.level(3).u_preimage().frobenius_twist(), tctx)
+    pre3_twist = lift(chain.level(3).u_preimage().frobenius_twist(), tctx)
     fam_f1 = model.map_coeffs(tctx.lift, tctx).image(pre3_twist)
     if not fam_f1.equals(l1):
         raise AllMinorsVanish("family F^(1) does not match the pinned level")
@@ -619,7 +633,6 @@ def _sigma_recipe(model, chain, N, k, power, source_T, lam, T, hodge_meta):
         raise AllMinorsVanish(f"certification failed at precision {N}: {checks}")
     fam.cert = CertifiedLabel(
         StratumLabel(lam, T, "0"),
-        True,
         {
             "mode": "truncated",
             "prec": N,
@@ -659,9 +672,10 @@ def sigma_raise(model, chain, N=DEFAULT_TRUNC_PRECISION):
 
 
 def recipe_7_3_2(model, chain, variant, N=DEFAULT_TRUNC_PRECISION):
-    if variant in (1, "1"):
+    """Dispatch by variant number: 1 collapses, 2 raises (CLI 732-1 / 732-2)."""
+    if variant == 1:
         return sigma_collapse(model, chain, N)
-    if variant in (2, "2"):
+    if variant == 2:
         return sigma_raise(model, chain, N)
     raise InvalidInput(f"unknown variant {variant!r}")
 
@@ -706,8 +720,8 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
     tctx = truncated_ctx(ctx, N)
     trep = tctx.t()
     g_t = UMatrix.unit_plus_monomial(tctx, e, pos, deg, trep)
-    levels = [g_t.image(lift_sub(w, tctx)) for w in chain.levels]
-    fam = FamilyChain("truncated", ctx, tctx, e, levels, model=model)
+    levels = [g_t.image(lift(w, tctx)) for w in chain.levels]
+    fam = FamilyChain(tctx, levels, model=model)
     _check_family(fam, chain)
 
     # linear invariants are exactly constant: verify by unit-pivot ranks
@@ -723,7 +737,7 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
 
     # m1 breaks already mod t^2; sigma(g) = 1 + t^p A as A is t-constant
     gsigma = UMatrix.unit_plus_monomial(tctx, e, pos, deg, tctx.frobenius(trep))
-    pre3_twist = lift_sub(
+    pre3_twist = lift(
         chain.level(e - 1).u_preimage().frobenius_twist(), tctx
     )
     fam_f1 = model.map_coeffs(tctx.lift, tctx).compose(gsigma).image(pre3_twist)
@@ -734,14 +748,13 @@ def invert_m1(model, chain, N=DEFAULT_TRUNC_PRECISION):
         return any(not ctx.is_zero(c[m]) for c in vec.coeffs for m in range(min(2, N)))
 
     # F^(1) constant mod t^2
-    base_f1_t = lift_sub(f_one(model, chain), tctx)
+    base_f1_t = lift(f_one(model, chain), tctx)
     if any(nonzero_mod_t2(base_f1_t.reduce(v)) for v in fam_f1.basis()):
         raise AssertionError("F^(1) moved at first order (bug)")
     if not nonzero_mod_t2(fam_f1.reduce(fam.levels[0].basis()[0])):
         raise AllMinorsVanish("m1 did not break mod t^2")
     fam.cert = CertifiedLabel(
         StratumLabel(lab.lam, lab.T, "1"),
-        True,
         {
             "mode": "truncated",
             "prec": N,
@@ -761,9 +774,7 @@ def transport_family(fam, g):
     tctx = fam.tctx
     gt = g.map_coeffs(tctx.lift, tctx)
     levels = [gt.image(w) for w in fam.levels]
-    return FamilyChain(
-        fam.mode, fam.base_ctx, tctx, fam.e, levels, model=fam.model, cert=fam.cert
-    )
+    return FamilyChain(tctx, levels, model=fam.model, cert=fam.cert)
 
 
 # ----------------------------------------------------------------------
@@ -804,7 +815,7 @@ def search_witness(chain, target, budget=DEFAULT_SEARCH_BUDGET):
         for deg in range(e)
     ]
     gens = [
-        lift_vec(_complement_generator(chain.level(k + 1), chain.level(k)), kt)
+        lift(_complement_generator(chain.level(k + 1), chain.level(k)), kt)
         for k in range(e)
     ]
     cache = {}  # (rows of the previous level, move) -> level, or None
@@ -828,7 +839,7 @@ def search_witness(chain, target, budget=DEFAULT_SEARCH_BUDGET):
                 seen.add(key)
                 if walk_label(levels) != tgt:
                     continue
-                fam = FamilyChain("exact_rational", ctx, kt, e, levels)
+                fam = FamilyChain(kt, levels)
                 if _is_witness(fam, chain):
                     if fam.generic_label().linear() != tgt:
                         raise AssertionError("walk label is not the K(t) label (bug)")

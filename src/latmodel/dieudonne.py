@@ -24,7 +24,6 @@ from __future__ import annotations
 from .chains import PRChain
 from .errors import DegenerateF, InvalidInput
 from .invariants import StratumLabel, stratum_label
-from .scalars import Scalar
 from .umod import Subspace, UMatrix, UVec
 
 
@@ -49,11 +48,11 @@ class DieudonneModel(UMatrix):
 
     @classmethod
     def deserialize(cls, ctx, obj):
-        rows = [
-            [[Scalar(ctx, ctx.deserialize(c)) for c in poly] for poly in row]
-            for row in obj["F"]
-        ]
-        return cls.from_ints(ctx, obj["e"], rows)
+        """The model of serialize(); each entry is padded with zeros or cut
+        to length e."""
+        raw = [[[ctx.deserialize(c) for c in poly] for poly in row] for row in obj["F"]]
+        e, zero = obj["e"], ctx.zero()
+        return cls(ctx, e, [[(poly + [zero] * e)[:e] for poly in row] for row in raw])
 
 
 def f_one(model, chain):
@@ -84,19 +83,17 @@ def ag_witness(m, c, ctx, e=4):
         raise InvalidInput("witness only defined for e = 4")
     if m < 2:
         raise InvalidInput("m must be >= 2")
-    crep = c.rep if isinstance(c, Scalar) else ctx.from_int(c)
-    if not ctx.is_unit(crep):
+    if not ctx.is_unit(ctx.from_int(c)):
         raise InvalidInput("c must be a unit")
     um = [0] * e
     if m < e:
         um[m] = 1
-    cs = Scalar(ctx, crep)
     model = DieudonneModel.from_ints(
         ctx,
         e,
         [
             [um, [0]],
-            [[0, 0, 1], [0, 0, cs]],
+            [[0, 0, 1], [0, 0, c]],
         ],
     )
     mono = lambda coord, deg: UVec.monomial(ctx, e, coord, deg)

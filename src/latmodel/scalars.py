@@ -12,8 +12,7 @@ Four coefficient domains, each with a Frobenius endomorphism:
 
 Raw element representations are plain nested tuples/ints (hashable and
 canonical: equal values have identical representations).  All arithmetic is
-exposed as methods on :class:`FieldCtx` acting on raw representations; the
-:class:`Scalar` wrapper provides operator sugar on top.
+exposed as methods on :class:`FieldCtx` acting on raw representations.
 
 Frobenius acts as x -> x^p on finite fields; on the t-extensions it acts
 coefficient-wise and sends t to t^p.
@@ -26,7 +25,7 @@ import itertools
 from .errors import BoundExceeded, InvalidInput, NonUnitDivision, PoleAtZero
 
 DEFAULT_PRECISION = 16
-DEFAULT_ENUM_BOUND = 128
+FIELD_BOUND = 128
 
 
 def _is_prime(n):
@@ -561,99 +560,12 @@ def truncated_ctx(base, N=DEFAULT_PRECISION):
     )
 
 
-def field_elements(ctx, bound=DEFAULT_ENUM_BOUND):
+def field_elements(ctx):
     """All elements of a finite context in deterministic order (0 first)."""
     if not ctx.is_finite:
         raise InvalidInput("field_elements requires a finite context")
-    if ctx.order > bound:
-        raise BoundExceeded(f"field order {ctx.order} exceeds bound {bound}")
+    if ctx.order > FIELD_BOUND:
+        raise BoundExceeded(f"field order {ctx.order} exceeds bound {FIELD_BOUND}")
     if ctx.kind == "prime":
         return list(range(ctx.p))
     return [t for t in sorted(itertools.product(range(ctx.p), repeat=ctx.f))]
-
-
-# ----------------------------------------------------------------------
-# Scalar wrapper
-# ----------------------------------------------------------------------
-class Scalar:
-    """A scalar value: context handle plus canonical raw representation."""
-
-    __slots__ = ("ctx", "rep")
-
-    def __init__(self, ctx, rep):
-        self.ctx = ctx
-        self.rep = rep
-
-    @classmethod
-    def of(cls, ctx, n):
-        return cls(ctx, ctx.from_int(n))
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.ctx != self.ctx:
-                raise InvalidInput("mixed scalar contexts")
-            return other.rep
-        if isinstance(other, int):
-            return self.ctx.from_int(other)
-        raise InvalidInput(f"cannot coerce {other!r}")
-
-    def __add__(self, other):
-        return Scalar(self.ctx, self.ctx.add(self.rep, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Scalar(self.ctx, self.ctx.sub(self.rep, self._coerce(other)))
-
-    def __neg__(self):
-        return Scalar(self.ctx, self.ctx.neg(self.rep))
-
-    def __mul__(self, other):
-        return Scalar(self.ctx, self.ctx.mul(self.rep, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return Scalar(self.ctx, self.ctx.sub(self._coerce(other), self.rep))
-
-    def __truediv__(self, other):
-        return Scalar(self.ctx, self.ctx.div(self.rep, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return Scalar(self.ctx, self.ctx.div(self._coerce(other), self.rep))
-
-    def __eq__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.rep == self._coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx, self.rep))
-
-    def __repr__(self):
-        return f"Scalar({self.ctx!r}, {self.rep!r})"
-
-    def is_zero(self):
-        return self.ctx.is_zero(self.rep)
-
-    def is_unit(self):
-        return self.ctx.is_unit(self.rep)
-
-    def frobenius(self):
-        return Scalar(self.ctx, self.ctx.frobenius(self.rep))
-
-    def specialize_at_zero(self):
-        return Scalar(self.ctx.base, self.ctx.specialize0(self.rep))
-
-    def serialize(self):
-        return self.ctx.serialize(self.rep)
-
-
-def frobenius(x):
-    """x^p, computed structurally in x's context."""
-    return x.frobenius()
-
-
-def specialize_at_zero(x):
-    """Evaluate a t-extension scalar at t = 0."""
-    return x.specialize_at_zero()

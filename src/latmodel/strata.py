@@ -386,7 +386,7 @@ class PosetReport:
         return "\n".join(lines) + "\n"
 
 
-def build_poset(e, ctx, model=None, m1_seed=None):
+def build_poset(e, ctx, model=None):
     """Certify every covering edge of the closure order on nonempty strata.
 
     Linear layer: for each covering edge and EVERY census point of the

@@ -16,7 +16,7 @@ caller can re-parametrize, never silently dividing by a non-unit.
 from __future__ import annotations
 
 from .errors import InvalidInput, NonUnitPivot
-from .scalars import Scalar, series_inv, series_mul
+from .scalars import series_inv, series_mul
 
 
 class UVec:
@@ -70,8 +70,6 @@ class UVec:
 
     def scale(self, c):
         K = self.ctx
-        if isinstance(c, Scalar):
-            c = c.rep
         return UVec(K, self.N, tuple(K.mul(c, x) for x in self.coeffs))
 
     def u_mult(self):
@@ -144,14 +142,14 @@ class UMatrix:
 
     @classmethod
     def from_ints(cls, ctx, e, rows):
-        """Build from 2x2 nested lists of u-coefficients (ints or Scalars),
-        each entry padded with zeros or cut to length e."""
+        """Build from 2x2 nested lists of integer u-coefficients, each
+        entry padded with zeros or cut to length e."""
         zero = ctx.zero()
         ent = []
         for row in rows:
             polys = []
             for poly in row:
-                cs = [c.rep if isinstance(c, Scalar) else ctx.from_int(c) for c in poly]
+                cs = [ctx.from_int(c) for c in poly]
                 polys.append((cs + [zero] * e)[:e])
             ent.append(polys)
         return cls(ctx, e, ent)
@@ -438,12 +436,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, N={self.N})"
-
-
-def span(vectors, ctx=None, N=None):
-    """Canonical RREF span of a list of UVecs."""
-    if vectors:
-        ctx, N = vectors[0].ctx, vectors[0].N
-    if ctx is None or N is None:
-        raise InvalidInput("empty span needs an explicit context and N")
-    return Subspace.span(ctx, N, vectors)

@@ -26,7 +26,7 @@ from latmodel import chains as chains_mod
 from latmodel.invariants import hodge, stratum_label
 from latmodel.scalars import field_elements, prime_field, small_field
 from latmodel.strata import census
-from latmodel.umod import Subspace, UVec, span
+from latmodel.umod import Subspace, UVec
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -75,12 +75,12 @@ def test_chain_validation_reports_violations():
     assert any("dim" in msg for msg in bad.validate())
     assert not bad.is_valid()
     # a valid chain: <u e1> inside <u e1, u e2>
-    A = span([UVec.monomial(F2, e, 1, 1)], F2, e)
-    B = span([UVec.monomial(F2, e, 2, 1), UVec.monomial(F2, e, 1, 1)], F2, e)
+    A = Subspace.span(F2, e, [UVec.monomial(F2, e, 1, 1)])
+    B = Subspace.span(F2, e, [UVec.monomial(F2, e, 2, 1), UVec.monomial(F2, e, 1, 1)])
     assert PRChain(F2, e, [A, B]).is_valid()
     # non-nested levels: <u e2> not inside <u e1, e1>
-    C = span([UVec.monomial(F2, e, 2, 1)], F2, e)
-    D = span([UVec.monomial(F2, e, 1, 1), UVec.monomial(F2, e, 1, 0)], F2, e)
+    C = Subspace.span(F2, e, [UVec.monomial(F2, e, 2, 1)])
+    D = Subspace.span(F2, e, [UVec.monomial(F2, e, 1, 1), UVec.monomial(F2, e, 1, 0)])
     assert PRChain(F2, e, [C, D]).validate()
 
 

@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, exit codes, determinism, config."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +187,28 @@ def test_deform_missing_requirements_exit_usage(tmp_path, capsys):
         capsys,
     )
     assert code == EXIT_USAGE
+
+
+def test_deform_rejects_e_and_q(capsys):
+    # the chain file fixes e and q; deform used to accept and ignore both
+    chain = str(Path(__file__).parent / "golden" / "chain_e3_q2.json")
+    argv = ["deform", "--chain", chain, "--recipe", "hodge-raise"]
+    assert run(argv, capsys)[0] == EXIT_OK
+    code, out, err = run(argv + ["--e", "9", "--q", "5"], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and "unrecognized arguments: --e 9 --q 5" in err
+
+
+@pytest.mark.parametrize(
+    "e, q, msg",
+    [("13", "2", "(q+1)^e = 1594323"), ("1", "131", "field order 131")],
+    ids=["too-many-chains", "field-too-large"],
+)
+def test_census_bound_exceeded(e, q, msg, capsys):
+    code, out, err = run(["census", "--e", e, "--q", q], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: BoundExceeded: ") and msg in err
 
 
 def _swapped_levels_chain():
@@ -398,10 +422,14 @@ def test_hasse_suite_checks_m1_witness_per_field(capsys, monkeypatch):
 
 
 def test_console_script_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "latmodel.cli", "census", "--e", "1", "--q", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.startswith("e,q,lambda,T,m1,count")

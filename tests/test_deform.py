@@ -14,8 +14,7 @@ from latmodel.deform import (
     _solve_linear,
     hodge_raise,
     invert_m1,
-    lift_sub,
-    lift_vec,
+    lift,
     linear_collapse,
     linear_raise,
     recipe_7_3_1,
@@ -76,11 +75,16 @@ def _audit(fam, start):
 def test_lift_constant_chain_specializes_back():
     kt = rational_ctx(F2)
     for ch in enumerate_chains(2, F2)[:5]:
-        fam = FamilyChain(
-            "exact_rational", F2, kt, ch.e, [lift_sub(w, kt) for w in ch.levels]
-        )
+        fam = FamilyChain(kt, [lift(w, kt) for w in ch.levels])
+        assert (fam.mode, fam.base_ctx, fam.e) == ("exact_rational", F2, 2)
         assert fam.specialize() == ch
         assert fam.generic_label() == stratum_label(ch)
+
+
+def test_family_over_a_finite_field_rejected():
+    ch = enumerate_chains(2, F2)[0]
+    with pytest.raises(InvalidInput):
+        FamilyChain(F2, ch.levels)
 
 
 def test_hodge_raise_on_worked_chain():
@@ -297,7 +301,7 @@ def _search_afresh(chain, target, budget, tried):
     trep = kt.t()
     deltas = [UVec.monomial(kt, e, c, d) for c in (1, 2) for d in range(e)]
     gens = {
-        k: lift_vec(_complement_generator(chain.level(k), chain.level(k - 1)), kt)
+        k: lift(_complement_generator(chain.level(k), chain.level(k - 1)), kt)
         for k in range(1, e + 1)
     }
 
@@ -331,7 +335,7 @@ def _search_afresh(chain, target, budget, tried):
         return levels
 
     def check(levels):
-        fam = FamilyChain("exact_rational", ctx, kt, e, levels)
+        fam = FamilyChain(kt, levels)
         if fam.validate():
             return None
         try:

@@ -41,6 +41,21 @@ def test_serialize_round_trip():
     assert back.entries == model.entries and back.e == model.e
 
 
+def test_serialize_round_trip_over_f4_pads_and_cuts_entries():
+    e = 3
+    z, one = F4.zero(), F4.one()
+    a = next(x for x in field_elements(F4) if F4.frobenius(x) != x)
+    entries = [[(a, one, z), (z, z, a)], [(one, z, z), (a, a, one)]]
+    model = DieudonneModel(F4, e, entries)
+    obj = model.serialize()
+    assert DieudonneModel.deserialize(F4, obj).entries == model.entries
+    # an entry longer than e is cut to e, a shorter one padded with zeros
+    obj["F"][0][0] = obj["F"][0][0] + [F4.serialize(a)]
+    obj["F"][1][0] = obj["F"][1][0][:1]
+    back = DieudonneModel.deserialize(F4, obj)
+    assert back.entries == model.entries and back.e == e
+
+
 def test_f_one_context_mismatch_rejected():
     model = DieudonneModel.from_ints(F2, 3, [[[1], [0]], [[0], [1]]])
     chain = enumerate_chains(2, F2)[0]

@@ -26,14 +26,14 @@ from latmodel.invariants import (
     stratum_label,
 )
 from latmodel.scalars import prime_field, small_field
-from latmodel.umod import Subspace, UVec, span
+from latmodel.umod import Subspace, UVec
 
 F2 = prime_field(2)
 F3 = prime_field(3)
 
 
 def _mspan(ctx, N, vecs):
-    return span(vecs, ctx, N)
+    return Subspace.span(ctx, N, vecs)
 
 
 def test_block_partition_known_cases():

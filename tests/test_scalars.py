@@ -5,15 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from latmodel.errors import InvalidInput, NonUnitDivision, PoleAtZero
 from latmodel.scalars import (
-    Scalar,
     ctx_from_serialized,
     extension_field,
     field_elements,
-    frobenius,
     prime_field,
     rational_ctx,
     small_field,
-    specialize_at_zero,
     truncated_ctx,
 )
 
@@ -147,18 +144,6 @@ def test_irreducibility_validation():
         extension_field(2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
     with pytest.raises(InvalidInput):
         prime_field(4)
-
-
-def test_scalar_wrapper_arithmetic():
-    a = Scalar(F3, F3.from_int(2))
-    b = Scalar(F3, F3.from_int(2))
-    assert (a + b).rep == F3.from_int(1)
-    assert (a * b).rep == F3.from_int(1)
-    assert (1 - a).rep == F3.from_int(2)
-    assert (1 / a).rep == F3.from_int(2)
-    assert frobenius(a) == a
-    t = Scalar(KT2, KT2.t())
-    assert specialize_at_zero(1 / (1 + t)).rep == F2.one()
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from latmodel.errors import InvalidInput, NonUnitPivot
 from latmodel.scalars import field_elements, prime_field, small_field, truncated_ctx
-from latmodel.umod import Subspace, UMatrix, UVec, span
+from latmodel.umod import Subspace, UMatrix, UVec
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -54,13 +54,13 @@ def test_span_canonical_and_idempotent():
     N = 3
     v1 = _rand_vec(F2, N, [1, 1, 0, 0, 1, 0])
     v2 = _rand_vec(F2, N, [0, 1, 0, 1, 0, 1])
-    W = span([v1, v2], F2, N)
+    W = Subspace.span(F2, N, [v1, v2])
     assert W.dim == 2
     # span of the canonical basis reproduces the same canonical rows
-    W2 = span(list(W.basis()), F2, N)
+    W2 = Subspace.span(F2, N, list(W.basis()))
     assert W2 == W
     # adding a dependent vector changes nothing
-    W3 = span([v1, v2, v1.add(v2)], F2, N)
+    W3 = Subspace.span(F2, N, [v1, v2, v1.add(v2)])
     assert W3 == W
 
 
@@ -68,7 +68,7 @@ def test_membership_and_reduce():
     N = 3
     v1 = _rand_vec(F3, N, [1, 0, 0, 0, 1, 0])
     v2 = _rand_vec(F3, N, [0, 0, 0, 1, 0, 2])
-    W = span([v1, v2], F3, N)
+    W = Subspace.span(F3, N, [v1, v2])
     assert W.contains_vec(v1.add(v2.scale(F3.from_int(2))))
     assert W.reduce(v1).is_zero()
     outside = _rand_vec(F3, N, [0, 1, 0, 0, 0, 0])
@@ -82,8 +82,8 @@ def test_dimension_formula_sum_intersect():
         _rand_vec(F2, N, d[:4] + [0, 0])
         for d in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])
     ]
-    A = span(vs[:2], F2, N)
-    B = span(vs[1:], F2, N)
+    A = Subspace.span(F2, N, vs[:2])
+    B = Subspace.span(F2, N, vs[1:])
     S = A.sum(B)
     I = A.intersect(B)
     assert S.dim + I.dim == A.dim + B.dim
@@ -93,7 +93,7 @@ def test_dimension_formula_sum_intersect():
 
 def test_u_image_preimage_adjunction():
     N = 3
-    W = span([UVec.monomial(F2, N, 1, 1), UVec.monomial(F2, N, 2, 0)], F2, N)
+    W = Subspace.span(F2, N, [UVec.monomial(F2, N, 1, 1), UVec.monomial(F2, N, 2, 0)])
     img = W.u_image()
     pre = W.u_preimage()
     assert pre.contains(W) or not W.is_u_stable()
@@ -121,7 +121,7 @@ def test_frobenius_twist_is_subspace():
     N = 2
     a = next(x for x in field_elements(F4) if F4.frobenius(x) != x)
     v = UVec.monomial(F4, N, 1, 0, c=a).add(UVec.monomial(F4, N, 2, 1))
-    W = span([v], F4, N)
+    W = Subspace.span(F4, N, [v])
     T = W.frobenius_twist()
     assert T.dim == W.dim
     assert T.contains_vec(v.frobenius())
@@ -129,10 +129,10 @@ def test_frobenius_twist_is_subspace():
 
 def test_subspace_serialize_round_trip():
     N = 3
-    W = span(
-        [_rand_vec(F3, N, [1, 2, 0, 0, 1, 0]), _rand_vec(F3, N, [0, 0, 1, 1, 0, 2])],
+    W = Subspace.span(
         F3,
         N,
+        [_rand_vec(F3, N, [1, 2, 0, 0, 1, 0]), _rand_vec(F3, N, [0, 0, 1, 1, 0, 2])],
     )
     assert Subspace.deserialize(F3, W.serialize()) == W
 
@@ -165,7 +165,7 @@ def test_truncated_ring_rref_skips_nonunit_columns():
     t = R.t()
     # unit pivot in second coordinate, t in the first: column 0 is skipped
     v = UVec(R, N, (t, R.zero(), R.one(), R.zero()))
-    W = span([v], R, N)
+    W = Subspace.span(R, N, [v])
     assert W.dim == 1
     assert W.contains_vec(v)
     assert not W.contains_vec(UVec.monomial(R, N, 1, 0))
@@ -176,7 +176,7 @@ def test_truncated_ring_nonfree_span_rejected():
     t = R.t()
     v = UVec(R, 2, (t, R.zero(), t, R.zero()))  # no unit anywhere
     with pytest.raises(NonUnitPivot):
-        span([v], R, 2)
+        Subspace.span(R, 2, [v])
 
 
 @settings(max_examples=50, deadline=None)
@@ -184,14 +184,14 @@ def test_truncated_ring_nonfree_span_rejected():
 def test_span_properties(d1, d2, d3):
     N = 3
     v1, v2, v3 = (_rand_vec(F3, N, d) for d in (d1, d2, d3))
-    W = span([v1, v2], F3, N)
+    W = Subspace.span(F3, N, [v1, v2])
     # span membership of generators and of random combinations
     assert W.contains_vec(v1) and W.contains_vec(v2)
     assert W.contains_vec(v1.add(v2).add(v2))
     # monotonicity and absorption
-    big = span([v1, v2, v3], F3, N)
+    big = Subspace.span(F3, N, [v1, v2, v3])
     assert big.contains(W)
-    assert big == W.sum(span([v3], F3, N))
+    assert big == W.sum(Subspace.span(F3, N, [v3]))
     assert 0 <= W.dim <= 2 and W.dim <= big.dim <= W.dim + 1
 
 
@@ -200,7 +200,7 @@ def test_span_properties(d1, d2, d3):
 def test_reduce_is_canonical_coset_representative(d1, d2):
     N = 3
     v1, v2 = _rand_vec(F2, N, d1), _rand_vec(F2, N, d2)
-    W = span([v1], F2, N)
+    W = Subspace.span(F2, N, [v1])
     r = W.reduce(v2)
     assert W.contains_vec(v2.add(r))  # v2 - r in W (char 2)
     assert W.reduce(r) == r
