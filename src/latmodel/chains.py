@@ -4,7 +4,9 @@ A chain is a full flag omega^(1) subset ... subset omega^(e) with
 dim omega^(i) = i and u * omega^(i) contained in omega^(i-1): the
 combinatorial point of the splitting local model.  This module provides
 validation, exhaustive enumeration over small finite fields (one walk
-that labels each chain as it builds it), the
+that labels each chain as it builds it and never re-reduces a level: v
+is zero at its parent's pivots, so one pivot insertion gives the child's
+RREF, and u^-1(omega + K v) = u^-1(omega) + K v/u gives its socle), the
 convolution presentation (successive lattice quotients of codimension one,
 obtained by rescaling each level by the appropriate power of u), the
 action of the truncated group GL_2(K[u]/(u^e)) (its elements are
@@ -31,7 +33,7 @@ import itertools
 from .errors import BoundExceeded, InvalidInput
 from .invariants import StratumLabel
 from .scalars import field_elements
-from .umod import Subspace, UMatrix, UVec
+from .umod import Subspace, UMatrix, UVec, _reduce_vec
 
 CHAIN_BOUND = 10 ** 6
 
@@ -174,6 +176,28 @@ def walk_label(levels):
     return StratumLabel((c, e - c), T)
 
 
+def _insert(w, v):
+    """RREF of w + K v, for v zero at w's pivots (see labelled_chains)."""
+    K, vc = w.ctx, v.coeffs
+    p = next(j for j, x in enumerate(vc) if not K.is_zero(x))
+    if vc[p] != K.one():
+        raise AssertionError("inserted vector's leading entry is not one (bug)")
+    rows = [_reduce_vec(r, (vc,), (p,), K) for r in w.rows]  # each r - r[p] v
+    k = sum(j < p for j in w.pivots)
+    pivots = w.pivots[:k] + (p,) + w.pivots[k:]
+    return Subspace(K, w.N, rows[:k] + [vc] + rows[k:], pivots)
+
+
+def _child_socle(socle, w, v):
+    """Socle of w = omega + K v from omega's (see labelled_chains); v/u is
+    v shifted left by one, as c[N] = 0 moves into the first block's top."""
+    K, N, c = w.ctx, w.N, v.coeffs
+    if not (K.is_zero(c[0]) and K.is_zero(c[N])):
+        raise AssertionError("v has a u^0 term below the top level (bug)")
+    reduced = [w.reduce(s) for s in socle + [UVec(K, N, c[1:] + (K.zero(),))]]
+    return Subspace.span(K, N, [s for s in reduced if not s.is_zero()]).basis()
+
+
 def labelled_chains(e, ctx):
     """All valid chains over a finite field with their linear labels, as
     (chain, StratumLabel) pairs sorted canonically.
@@ -190,6 +214,16 @@ def labelled_chains(e, ctx):
     * m_i = 0 iff u v lies in omega^(i-2), because u omega^(i) =
       u omega^(i-1) + K u v and u omega^(i-1) lies in omega^(i-2) already.
 
+    Each node carries its RREF rows and its socle, u^-1(omega) modulo
+    omega, whose lines are the children's v; a child updates both.  Pivot
+    insertion: v is zero at omega's pivots with leading 1 at a column p, so
+    RREF(omega + K v) is the rows r - r[p] v with v inserted at p.  Socle
+    update: below the top dim K[u] v = _nil_order(v) <= i < e, so v has no
+    u^0 term, v = u (v/u) and u^-1(omega + K v) = u^-1(omega) + K v/u: the
+    child's socle is the RREF of the parent's and v/u modulo omega^(i).  The
+    root's is {u^(e-1) e1, u^(e-1) e2}; each has dimension 2, since omega in
+    u E below the top leaves E/omega two generators.
+
     Checked on every chain: c_e is the nilpotency index read off the top's
     own basis, and lambda = (e, 0) iff T is empty.  Same rules: walk_label.
     """
@@ -197,20 +231,22 @@ def labelled_chains(e, ctx):
     if (q + 1) ** e > CHAIN_BOUND:
         raise BoundExceeded(f"(q+1)^e = {(q + 1) ** e} exceeds bound {CHAIN_BOUND}")
     elements = field_elements(ctx)
-    partial = [((Subspace.zero(ctx, e),), 0, ())]  # (omega^(0..i-1), c, T)
+    root = [UVec.monomial(ctx, e, 1, e - 1), UVec.monomial(ctx, e, 2, e - 1)]
+    partial = [((Subspace.zero(ctx, e),), root, 0, ())]  # omega^(0..i-1), socle, c, T
     for i in range(1, e + 1):
         nxt = []
-        for levels, c, T in partial:
-            prev = levels[-1]
-            comp = _complement_basis(prev.u_preimage(), prev)
-            for v in _lines_through(ctx, comp, elements):
-                w = Subspace.span(ctx, e, prev.basis() + [v])
+        for levels, socle, c, T in partial:
+            if len(socle) != 2:
+                raise AssertionError(f"socle of dimension {len(socle)} (bug)")
+            for v in _lines_through(ctx, socle, elements):
+                w = _insert(levels[-1], v)
                 m_i_zero = i > 1 and levels[-2].contains_vec(v.u_mult())
                 T_i = T + (i,) if m_i_zero else T
-                nxt.append((levels + (w,), c + (_nil_order(v) > c), T_i))
+                child = _child_socle(socle, w, v) if i < e else None
+                nxt.append((levels + (w,), child, c + (_nil_order(v) > c), T_i))
         partial = nxt
     labels, out = {}, []
-    for levels, c, T in partial:
+    for levels, _, c, T in partial:
         if _nilpotency(levels[-1]) != c or (c == e) != (not T):
             raise AssertionError("walk label disagrees with the chain's top (bug)")
         if (c, T) not in labels:

@@ -23,7 +23,7 @@ from latmodel.chains import (
     standard_free_chain,
 )
 from latmodel import chains as chains_mod
-from latmodel.invariants import hodge, stratum_label
+from latmodel.invariants import StratumLabel, hodge, stratum_label
 from latmodel.scalars import field_elements, prime_field, small_field
 from latmodel.strata import census
 from latmodel.umod import Subspace, UVec
@@ -53,6 +53,60 @@ def test_labelled_walk_matches_stratum_label(e, q):
     assert labelled_chains(e, ctx) == [
         (c, stratum_label(c).linear()) for c in enumerate_chains(e, ctx)
     ]
+
+
+def _respanned_walk(e, ctx):
+    """The census walk with every level re-reduced: each parent's
+    u-preimage by a nullspace, its complement by a span, and each child by
+    a full RREF of the parent's rows and v.  The reference for
+    labelled_chains' pivot insertion and socle update."""
+    elements = field_elements(ctx)
+    partial = [((Subspace.zero(ctx, e),), 0, ())]  # (omega^(0..i-1), c, T)
+    for i in range(1, e + 1):
+        nxt = []
+        for levels, c, T in partial:
+            prev = levels[-1]
+            comp = chains_mod._complement_basis(prev.u_preimage(), prev)
+            for v in chains_mod._lines_through(ctx, comp, elements):
+                w = Subspace.span(ctx, e, prev.basis() + [v])
+                m_i_zero = i > 1 and levels[-2].contains_vec(v.u_mult())
+                T_i = T + (i,) if m_i_zero else T
+                nxt.append((levels + (w,), c + (chains_mod._nil_order(v) > c), T_i))
+        partial = nxt
+    out = [
+        (PRChain(ctx, e, levels[1:]), StratumLabel((c, e - c), T))
+        for levels, c, T in partial
+    ]
+    out.sort(key=lambda pair: pair[0].key())
+    return out
+
+
+@pytest.mark.parametrize(
+    "e, q",
+    [(e, q) for q in (2, 3, 4) for e in (1, 2, 3, 4)]
+    + [(3, 8), (3, 9), (2, 9), (5, 2), (6, 2)],
+)
+def test_walk_matches_the_respanned_walk(e, q):
+    # pivot insertion and socle updates give the same ordered (chain,
+    # label) list as re-reducing every level, and every level they build
+    # is the RREF that a full row reduction of its basis gives
+    ctx = small_field(q)
+    pairs = labelled_chains(e, ctx)
+    assert pairs == _respanned_walk(e, ctx)
+    for chain, _ in pairs:
+        for w in chain.levels:
+            full = Subspace.span(ctx, e, w.basis())
+            assert (full.rows, full.pivots) == (w.rows, w.pivots)
+
+
+def test_walk_traps_a_socle_defect(monkeypatch):
+    # a socle that lost a vector would silently drop chains from the count
+    child_socle = chains_mod._child_socle
+    monkeypatch.setattr(
+        chains_mod, "_child_socle", lambda *args: child_socle(*args)[:1]
+    )
+    with pytest.raises(AssertionError, match="socle of dimension 1"):
+        labelled_chains(3, F2)
 
 
 def test_enumeration_is_deterministic_and_valid():
@@ -216,7 +270,9 @@ def test_orbit_transports_are_transports():
 def test_fibers_partition_chains_over_lattices():
     # fiber_chains (downward recursion from the top) is the reference for
     # the fibers the census reads off its walk, top by top
-    for e, ctx in ((3, F2), (3, F3), (4, F2)):
+    # over F_4 and F_8 the elements are tuples; fiber_chains shares none of
+    # the walk's pivot insertion and socle update
+    for e, ctx in ((3, F2), (3, F3), (4, F2), (3, F4), (2, small_field(8))):
         chains = enumerate_chains(e, ctx)
         lattices = {ch.top.rows: ch.top for ch in chains}
         fibers = census(e, ctx).fibers

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from latmodel import deform, invariants
+from latmodel import chains, deform, invariants
 from latmodel.chains import enumerate_chains
 from latmodel.errors import InvalidInput
 from latmodel.scalars import prime_field
@@ -47,6 +47,17 @@ def run_checks():
     _expect(InvalidInput, invariants.hodge, not_stable)
     chain = next(
         c for c in enumerate_chains(3, F2) if invariants.hodge(c.top) != (3, 0)
+    )
+    # the census walk: an inserted vector must lead with 1, and a vector
+    # below the top has no u^0 term (the socle trap: test_chains.py)
+    F3 = prime_field(3)
+    _expect(
+        AssertionError, chains._insert, Subspace.zero(F3, 2),
+        UVec.monomial(F3, 2, 1, 1, c=2),
+    )
+    e1 = UVec.monomial(F2, 2, 1, 0)
+    _expect(
+        AssertionError, chains._child_socle, [], Subspace.span(F2, 2, [e1]), e1
     )
     saved = (
         invariants.block_partition,

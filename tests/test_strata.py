@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from latmodel import chains, cli, deform, dieudonne, invariants, strata
+from latmodel import chains, cli, deform, dieudonne, invariants, strata, umod
 from latmodel.chains import enumerate_chains
 from latmodel.cli import _suite_flatness, _suite_hodge
 from latmodel.dieudonne import ag_witness
@@ -192,6 +192,17 @@ def test_flatness_suite_work_counts(monkeypatch):
             "walks": 4, "chains labelled": 2258, "enumerations": 0,
             "fibers": 0, "hodges": 0,
         }
+
+
+def test_census_walk_work_counts(monkeypatch):
+    """census(4, F_4) walks 1 + 5 + 25 + 125 internal nodes: no u-preimage
+    is computed, and the one row reduction per non-root internal node is
+    its socle's re-span; each child's RREF is a pivot insertion."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts, umod.Subspace, "u_preimage", "u-preimages")
+    _count_calls(monkeypatch, counts, umod, "_rref", "rrefs")
+    assert census(4, F4).total() == 5**4
+    assert (counts["u-preimages"], counts["rrefs"]) == (0, 155)
 
 
 def test_witness_search_work_counts(monkeypatch):
