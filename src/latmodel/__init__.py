@@ -19,8 +19,7 @@ from .deform import (
     FamilyChain,
     hodge_raise,
     invert_m1,
-    linear_collapse,
-    linear_raise,
+    recipe_7_3_1,
     search_witness,
     sigma_collapse,
     sigma_raise,
@@ -67,14 +66,13 @@ __all__ = [
     "hodge_raise",
     "invert_m1",
     "labeled_with_m1",
-    "linear_collapse",
-    "linear_raise",
     "m1_vanishes",
     "orbits",
     "prime_field",
     "product_census",
     "product_poset",
     "rational_ctx",
+    "recipe_7_3_1",
     "search_witness",
     "sigma_collapse",
     "sigma_raise",

@@ -14,14 +14,14 @@ Provided constructions:
   E_(e+2) (slot d of a coordinate is u^(d-1)), where every step of the
   construction is exact; the divisions by u and the final projection to
   E_e raise ContainmentViolated if a generator leaves Lambda_0.
-* the four named e = 4 recipes, one construction (``_move_level``): level
-  k alone moves, its complement generator v_k becoming v_k + t aux with
-  aux in u^-1(omega(k-1)) and u^p aux != 0, and every other level is the
-  chain's.  ``linear_collapse`` / ``linear_raise`` (CLI tokens 731-1 /
-  731-2) take (k, p) = (2, 1): break m2 and m4 within lambda=(2,2), and
-  (4, 2): raise (2,2) to (3,1) keeping only m3 = 0, over K(t).
-  ``sigma_collapse`` / ``sigma_raise`` (732-1 / 732-2) make the same
-  moves over K[t]/(t^N) and certify that m1 = 0 holds along the family.
+* the named e = 4 recipes, one construction (``_move_level``): level k
+  alone moves, its complement generator v_k becoming v_k + t aux with aux
+  in u^-1(omega(k-1)) and u^p aux != 0, and every other level is the
+  chain's.  ``NAMED_MOVES`` gives each variant's edge and move (k, p):
+  1 = (2, 1) breaks m2 and m4 within lambda=(2,2), 2 = (4, 2) raises (2,2)
+  to (3,1) keeping only m3 = 0.  ``recipe_7_3_1`` (CLI 731-v) moves over
+  K(t), ``recipe_7_3_2`` (732-v; ``sigma_collapse`` / ``sigma_raise``) over
+  K[t]/(t^N), certifying that m1 = 0 holds along the family.
 * ``invert_m1``      -- transports the whole chain by g(t) = 1 + tA: all
   linear invariants stay literally constant while omega^(1) leaves F^(1)
   at first order (the Frobenius of t is t^p, so F^(1) of the family is
@@ -525,19 +525,44 @@ def _check_family(fam, chain):
 # ----------------------------------------------------------------------
 # the named recipes at e = 4: move one level by t * aux
 # ----------------------------------------------------------------------
-def _require_label(chain, lam, T):
+# The variant v of recipe_7_3_1 (CLI token 731-v, over K(t)) and of
+# recipe_7_3_2 (732-v, over K[t]/(t^N), m1 = 0 kept) -> the edge it
+# certifies, as the (lambda, T) of its lower and upper label, and its move
+# (k, p) for _move_level.  strata reads its named closure edges off this.
+NAMED_MOVES = {
+    1: (((2, 2), frozenset({2, 3, 4})), ((2, 2), frozenset({3})), 2, 1),
+    2: (((2, 2), frozenset({3})), ((3, 1), frozenset({3})), 4, 2),
+}
+# How recipe_7_3_2's certificate pins each variant's generic Hodge pair.
+_SIGMA_HODGE = {
+    1: {"hodge_exact": "level four is constant"},
+    2: {
+        "pinch": "hodge >= (3,1) by u^2-witness; (4,0) excluded since m3 = 0",
+        "excluded": ["lambda=(4,0)"],
+    },
+}
+
+
+def _require_label(chain, variant):
+    """The upper (lambda, T) and the move (k, p) of the variant, once the
+    chain is checked to carry its lower label."""
+    if variant not in NAMED_MOVES:
+        raise InvalidInput(f"unknown variant {variant!r}")
+    (lam, T), upper, k, power = NAMED_MOVES[variant]
     if chain.e != 4:
         raise InvalidInput("recipe defined for e = 4")
     lab = stratum_label(chain)
-    if lab.lam != lam or lab.T != frozenset(T):
+    if lab.lam != lam or lab.T != T:
         raise InvalidInput(
             f"recipe precondition: label {lab.serialize()} is not "
             f"lambda={lam}, T={sorted(T)}"
         )
+    return upper, k, power
 
 
-def _move_level(chain, k, power, tctx):
-    """Levels of the family that moves level k alone, and the moved generator.
+def _move_level(chain, k, power, tctx, model=None):
+    """The family over tctx that moves level k alone, bug-trapped by
+    _check_family, and the moved generator.
 
     The complement generator v_k of omega(k) becomes v_k + t aux, with aux
     the first basis vector of u^-1(omega(k-1)) whose u^power-image is
@@ -554,67 +579,47 @@ def _move_level(chain, k, power, tctx):
     levels = [lift(w, tctx) for w in chain.levels]
     below = levels[k - 2].basis() if k > 1 else []
     levels[k - 1] = Subspace.span(tctx, chain.e, below + [moved])
-    return levels, moved
-
-
-def _linear_recipe(chain, k, power, source_T, lam, T):
-    _require_label(chain, (2, 2), source_T)
-    kt = rational_ctx(chain.ctx)
-    levels, _ = _move_level(chain, k, power, kt)
-    fam = FamilyChain(kt, levels)
+    fam = FamilyChain(tctx, levels, model=model)
     _check_family(fam, chain)
+    return fam, moved
+
+
+def recipe_7_3_1(chain, variant):
+    """The move of the variant over K(t); the family's generic label is the
+    variant's upper one.
+
+    1 (CLI 731-1) moves only level two, by aux in u^-1(omega(1)) outside
+    E[u]: levels 3 and 4 are the constant canonical subspaces
+    u^-1(omega(1)) and E[u^2].  2 (731-2) moves only level four, by aux in
+    u^-1(omega(3)) outside E[u^2], so u^2(v4 + t aux) != 0 generically.
+    """
+    (lam, T), k, power = _require_label(chain, variant)
+    kt = rational_ctx(chain.ctx)
+    fam, _ = _move_level(chain, k, power, kt)
     gen = fam.generic_label()
-    if gen.lam != lam or gen.T != frozenset(T):
+    if gen.lam != lam or gen.T != T:
         raise AssertionError(
             f"recipe generic label {gen.serialize()} != {lam}, {sorted(T)} (bug)"
         )
     return fam
 
 
-def linear_collapse(chain):
-    """((2,2), {2,3,4}) -> generic ((2,2), {3}): break m2 and m4.
-
-    Moves only level two, by aux in u^-1(omega(1)) outside E[u]; levels 3
-    and 4 are the constant canonical subspaces u^-1(omega(1)) and E[u^2].
-    """
-    return _linear_recipe(chain, 2, 1, {2, 3, 4}, (2, 2), {3})
-
-
-def linear_raise(chain):
-    """((2,2), {3}) -> generic ((3,1), {3}): raise the endpoint invariant.
-
-    Moves only level four, by aux in u^-1(omega(3)) outside E[u^2], so
-    u^2(v4 + t aux) != 0 generically.
-    """
-    return _linear_recipe(chain, 4, 2, {3}, (3, 1), {3})
-
-
-def recipe_7_3_1(chain, variant):
-    """Dispatch by variant number: 1 collapses, 2 raises (CLI 731-1 / 731-2)."""
-    if variant == 1:
-        return linear_collapse(chain)
-    if variant == 2:
-        return linear_raise(chain)
-    raise InvalidInput(f"unknown variant {variant!r}")
-
-
-def _sigma_recipe(model, chain, N, k, power, source_T, lam, T, hodge_meta):
-    """The linear move over K[t]/(t^N), certified to keep m1 = 0.
+def _sigma_recipe(model, chain, N, variant):
+    """The variant's move over K[t]/(t^N), certified to keep m1 = 0.
 
     m1 = 0 means F^(1) = omega(1), so the aux vector is the linear
     recipe's.  Levels 1 and 3 stay constant (k is 2 or 4), so F^(1) of
     the family, which depends on omega(3) only, stays pinned to level one
-    and m1 = 0 holds identically.  A raise (power 2) pins its generic
-    Hodge pair by the u^2-witness u^2(v4 + t aux) != 0.
+    and m1 = 0 holds identically.  A collapse (power 1) keeps level four,
+    and with it the Hodge pair; a raise (power 2) pins its generic Hodge
+    pair by the u^2-witness u^2(v4 + t aux) != 0.
     """
-    _require_label(chain, (2, 2), source_T)
+    (lam, T), k, power = _require_label(chain, variant)
     if not m1_vanishes(model, chain):
         raise InvalidInput("recipe requires m1 = 0 at the special point")
     tctx = truncated_ctx(chain.ctx, N)
-    levels, moved = _move_level(chain, k, power, tctx)
-    fam = FamilyChain(tctx, levels, model=model)
-    _check_family(fam, chain)
-    l1, l2, l3, l4 = levels
+    fam, moved = _move_level(chain, k, power, tctx, model)
+    l1, l2, l3, l4 = fam.levels
     pre3_twist = lift(chain.level(3).u_preimage().frobenius_twist(), tctx)
     fam_f1 = model.map_coeffs(tctx.lift, tctx).image(pre3_twist)
     if not fam_f1.equals(l1):
@@ -636,7 +641,7 @@ def _sigma_recipe(model, chain, N, k, power, source_T, lam, T, hodge_meta):
         {
             "mode": "truncated",
             "prec": N,
-            **hodge_meta,
+            **_SIGMA_HODGE[variant],
             "checks": sorted(checks),
             "m1": "pinned to F^(1) identically mod t^N",
         },
@@ -647,28 +652,19 @@ def _sigma_recipe(model, chain, N, k, power, source_T, lam, T, hodge_meta):
 def sigma_collapse(model, chain, N=DEFAULT_TRUNC_PRECISION):
     """((2,2), {2,3,4}) with m1 = 0 -> certified generic ((2,2), {3}), m1 = 0.
 
-    The move of ``linear_collapse`` over K[t]/(t^N): level two moves by
+    The move of ``recipe_7_3_1(chain, 1)`` over K[t]/(t^N): level two moves by
     t aux with aux in u^-1(F^(1)) = u^-1(omega(1)) outside E[u].
     """
-    return _sigma_recipe(
-        model, chain, N, 2, 1, {2, 3, 4}, (2, 2), {3},
-        {"hodge_exact": "level four is constant"},
-    )
+    return _sigma_recipe(model, chain, N, 1)
 
 
 def sigma_raise(model, chain, N=DEFAULT_TRUNC_PRECISION):
     """((2,2), {3}) with m1 = 0 -> certified generic ((3,1), {3}), m1 = 0.
 
-    The move of ``linear_raise`` over K[t]/(t^N).  The generic Hodge pair
+    The move of ``recipe_7_3_1(chain, 2)`` over K[t]/(t^N).  The generic Hodge pair
     is pinned by a u^2-witness plus the emptiness of ((4,0), {3}).
     """
-    return _sigma_recipe(
-        model, chain, N, 4, 2, {3}, (3, 1), {3},
-        {
-            "pinch": "hodge >= (3,1) by u^2-witness; (4,0) excluded since m3 = 0",
-            "excluded": ["lambda=(4,0)"],
-        },
-    )
+    return _sigma_recipe(model, chain, N, 2)
 
 
 def recipe_7_3_2(model, chain, variant, N=DEFAULT_TRUNC_PRECISION):

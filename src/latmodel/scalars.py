@@ -305,13 +305,20 @@ class FieldCtx:
         K = self.base
         return {"coeffs": [K.serialize(c) for c in a], "prec": self.N}
 
+    def _residue(self, c):
+        """A coefficient of F_p as serialize writes it: an int in [0, p),
+        read as is, never reduced mod p."""
+        if type(c) is not int or not 0 <= c < self.p:
+            raise InvalidInput(f"coefficient {c!r} is not an int in [0, {self.p})")
+        return c
+
     def deserialize(self, obj):
         if self.kind == "prime":
-            return obj % self.p
+            return self._residue(obj)
         if self.kind == "extension":
             if len(obj) != self.f:
                 raise InvalidInput("wrong coefficient length")
-            return tuple(c % self.p for c in obj)
+            return tuple(map(self._residue, obj))
         K = self.base
         if self.kind == "rational_t":
             return self._rat_normalize(

@@ -3,7 +3,8 @@
 Everything here is exact: counts are integers obtained by exhaustive
 enumeration, polynomial fits use ``fractions.Fraction`` Lagrange
 interpolation, and closure relations are certified point by point with
-explicit one-parameter families (never inferred from counts alone).
+explicit one-parameter families (never inferred from counts alone); a
+point left uncertified is one ``PosetReport.fail`` record.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
 
 from .chains import enumerate_chains, labelled_chains, orbit_transports
 from .deform import (
+    NAMED_MOVES,
     hodge_raise,
     invert_m1,
     recipe_7_3_1,
@@ -24,7 +27,7 @@ from .deform import (
 )
 from .dieudonne import m1_vanishes
 from .errors import DegenerateF, InvalidInput, LatModelError, NotFound
-from .invariants import StratumLabel, hodge, naive_leq
+from .invariants import StratumLabel, hodge, mi_vanishes, naive_leq
 
 
 # ----------------------------------------------------------------------
@@ -159,14 +162,13 @@ def hodge_step_check(e, ctx):
     second lists (chain, i) where the hodge step holds but m_i != 0 (the
     implication is one-way for e >= 3, two-way for e <= 2).
     """
-    from .invariants import mi_vanishes
-
+    lam = cache(hodge)  # one hodge per distinct level, keyed by (N, rows)
     violations = []
     converse = []
     for c in enumerate_chains(e, ctx):
         for i in range(2, e + 1):
-            step = hodge(c.level(i)) == tuple(
-                x - 1 for x in hodge(c.level(i - 2))
+            step = lam(c.level(i)) == tuple(
+                x - 1 for x in lam(c.level(i - 2))
             )
             if mi_vanishes(c, i):
                 if not step:
@@ -201,14 +203,6 @@ class DegreeFit:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def serialize(self):
-        return {
-            "points": [[int(a), int(b)] for a, b in self.points],
-            "coeffs": [str(c) for c in self.coeffs],
-            "degree": self.degree,
-            "stable": self.stable,
-        }
 
 
 def _lagrange(points):
@@ -308,14 +302,10 @@ def _covering_edges(labels):
     return edges
 
 
-# The named e = 4 edges, keyed by (lower, upper) linear label, with the
-# variant v of the recipes that certify them: recipe_7_3_1 (CLI token
-# 731-v) on the linear layer, recipe_7_3_2 (732-v, m1 = 0 kept) on the
-# m1 layer.  Listed in variant order.
-_NAMED_EDGES = {
-    (((2, 2), frozenset({2, 3, 4})), ((2, 2), frozenset({3}))): 1,
-    (((2, 2), frozenset({3})), ((3, 1), frozenset({3}))): 2,
-}
+# The named e = 4 edges, (lower, upper) as (lambda, T) pairs -> the variant v
+# of deform.NAMED_MOVES that certifies them: recipe_7_3_1 (731-v) on the
+# linear layer, recipe_7_3_2 (732-v, m1 = 0 kept) on the m1 layer.
+_NAMED_EDGES = {(lo, hi): v for v, (lo, hi, _, _) in NAMED_MOVES.items()}
 
 
 def _certify_edge_point(chain, lower, upper):
@@ -349,6 +339,16 @@ class PosetReport:
     @property
     def ok(self):
         return not self.failures
+
+    def fail(self, lower, upper, point, error):
+        """Record that point of the edge lower -> upper is not certified."""
+        self.failures.append(
+            {
+                "edge": [lower.serialize(), upper.serialize()],
+                "point": point.serialize(),
+                "error": error,
+            }
+        )
 
     def to_json(self):
         return json.dumps(
@@ -409,7 +409,6 @@ def build_poset(e, ctx, model=None):
     transports = None
     for lower, upper in _covering_edges(labels):
         methods = Counter()
-        done = 0
         certified = {}
         pending = []
         for point in groups[lower]:
@@ -419,17 +418,10 @@ def build_poset(e, ctx, model=None):
                 pending.append(point)
                 continue
             if not fam.semicontinuity_audit(gen):
-                report.failures.append(
-                    {
-                        "edge": [lower.serialize(), upper.serialize()],
-                        "point": point.serialize(),
-                        "error": "semicontinuity audit failed",
-                    }
-                )
+                report.fail(lower, upper, point, "semicontinuity audit failed")
                 continue
             certified[point.key()] = fam
             methods[method] += 1
-            done += 1
         for point in pending:
             # transport a witness from a certified orbit-mate: the generic
             # label is a group invariant, so this is a sound certificate
@@ -456,23 +448,18 @@ def build_poset(e, ctx, model=None):
                 ):
                     fam = cand
             if fam is None:
-                report.failures.append(
-                    {
-                        "edge": [lower.serialize(), upper.serialize()],
-                        "point": point.serialize(),
-                        "error": "search exhausted and no certified orbit-mate",
-                    }
+                report.fail(
+                    lower, upper, point, "search exhausted and no certified orbit-mate"
                 )
                 continue
             certified[point.key()] = fam
             methods["transport"] += 1
-            done += 1
         report.edges.append(
             {
                 "lower": lower.serialize(),
                 "upper": upper.serialize(),
                 "points": len(groups[lower]),
-                "certified": done,
+                "certified": len(certified),
                 "method": "+".join(sorted(methods)) or "none",
             }
         )
@@ -493,68 +480,34 @@ def _build_m1_layer(report, e, ctx, model, groups):
             witnesses.setdefault(refined, point)
     for refined in sorted(witnesses, key=StratumLabel.key):
         report.m1_nodes.append({"label": refined.serialize()})
+    # each edge: (lower, upper, method, recipe, mismatch text); the text is
+    # formatted with the generic label a family has in place of upper
+    edges = []
     for (lo_key, hi_key), variant in _NAMED_EDGES.items():
-        lo = StratumLabel(lo_key[0], lo_key[1], "0")
-        hi = StratumLabel(hi_key[0], hi_key[1], "0")
-        point = witnesses.get(lo)
-        if point is None:
-            continue
-        try:
-            fam = with_precision_retry(recipe_7_3_2, model, point, variant)
-        except LatModelError as exc:
-            report.failures.append(
-                {
-                    "edge": [lo.serialize(), hi.serialize()],
-                    "point": point.serialize(),
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+        lo = StratumLabel(*lo_key, "0")
+        hi = StratumLabel(*hi_key, "0")
+        if lo in witnesses:
+            recipe = partial(recipe_7_3_2, variant=variant)
+            edges.append((lo, hi, f"732-{variant}", recipe, "generic label {}"))
+    for refined in sorted(witnesses, key=StratumLabel.key):
+        if refined.m1 == "0":
+            edges.append(
+                (refined, refined.with_m1("1"), "invert-m1", invert_m1,
+                 "inversion label mismatch")
             )
+    for lo, hi, method, recipe, mismatch in edges:
+        point = witnesses[lo]
+        try:
+            fam = with_precision_retry(recipe, model, point)
+        except LatModelError as exc:
+            report.fail(lo, hi, point, f"{type(exc).__name__}: {exc}")
             continue
         gen = fam.generic_label()
         if gen != hi:
-            report.failures.append(
-                {
-                    "edge": [lo.serialize(), hi.serialize()],
-                    "point": point.serialize(),
-                    "error": f"generic label {gen.serialize()}",
-                }
-            )
+            report.fail(lo, hi, point, mismatch.format(gen.serialize()))
             continue
         report.m1_edges.append(
-            {"lower": lo.serialize(), "upper": hi.serialize(),
-             "method": f"732-{variant}"}
-        )
-    for refined in sorted(witnesses, key=StratumLabel.key):
-        if refined.m1 != "0":
-            continue
-        point = witnesses[refined]
-        target = refined.with_m1("1")
-        try:
-            fam = with_precision_retry(invert_m1, model, point)
-        except LatModelError as exc:
-            report.failures.append(
-                {
-                    "edge": [refined.serialize(), target.serialize()],
-                    "point": point.serialize(),
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            continue
-        if fam.generic_label() != target:
-            report.failures.append(
-                {
-                    "edge": [refined.serialize(), target.serialize()],
-                    "point": point.serialize(),
-                    "error": "inversion label mismatch",
-                }
-            )
-            continue
-        report.m1_edges.append(
-            {
-                "lower": refined.serialize(),
-                "upper": target.serialize(),
-                "method": "invert-m1",
-            }
+            {"lower": lo.serialize(), "upper": hi.serialize(), "method": method}
         )
 
 

@@ -13,7 +13,7 @@ from latmodel.chains import enumerate_chains
 from latmodel.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from latmodel.dieudonne import ag_witness
 from latmodel.invariants import StratumLabel, stratum_label
-from latmodel.scalars import prime_field
+from latmodel.scalars import prime_field, small_field
 from latmodel.strata import census
 
 F2 = prime_field(2)
@@ -238,6 +238,32 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys, content, flag):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and "bad.json" in err
+
+
+@pytest.mark.parametrize("bad", [3, -1, True], ids=["three", "minus-one", "true"])
+@pytest.mark.parametrize("kind", ["chain", "model", "chain-F4"])
+def test_coefficient_outside_the_field_is_usage_error(tmp_path, capsys, kind, bad):
+    # a coefficient is an int in [0, p), never reduced mod p on reading:
+    # read as 1, each of these files would give a valid request
+    if kind == "chain-F4":
+        files = {"chain": enumerate_chains(2, small_field(4))[5].serialize()}
+        files["chain"]["levels"][0]["basis"][0]["a"][1] = [bad, 0]
+        argv = ["deform", "--recipe", "hodge-raise"]
+    else:
+        model, chain = ag_witness(2, 1, F2)
+        files = {"chain": chain.serialize(), "model": model.serialize()}
+        if kind == "chain":
+            files["chain"]["levels"][0]["basis"][0]["b"][3] = bad
+        else:
+            files["model"]["F"][0][0][2] = bad
+        argv = ["deform", "--recipe", "invert-m1"]
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and f"{kind[:5]}.json" in err
 
 
 @pytest.mark.parametrize(

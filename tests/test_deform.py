@@ -15,8 +15,6 @@ from latmodel.deform import (
     hodge_raise,
     invert_m1,
     lift,
-    linear_collapse,
-    linear_raise,
     recipe_7_3_1,
     recipe_7_3_2,
     search_witness,
@@ -127,13 +125,12 @@ def test_linear_recipes_on_their_strata():
     for ch in enumerate_chains(4, F2):
         lab = stratum_label(ch)
         if lab.lam == (2, 2) and lab.T == frozenset({2, 3, 4}):
-            fam = linear_collapse(ch)
+            fam = recipe_7_3_1(ch, 1)
             _audit(fam, ch)
             assert fam.generic_label() == StratumLabel((2, 2), {3})
-            assert recipe_7_3_1(ch, 1).generic_label() == fam.generic_label()
             found["collapse"] += 1
         if lab.lam == (2, 2) and lab.T == frozenset({3}):
-            fam = linear_raise(ch)
+            fam = recipe_7_3_1(ch, 2)
             _audit(fam, ch)
             assert fam.generic_label() == StratumLabel((3, 1), {3})
             found["raise"] += 1
@@ -145,9 +142,9 @@ def test_linear_recipes_reject_wrong_stratum():
         c for c in enumerate_chains(4, F2) if stratum_label(c).lam == (4, 0)
     )
     with pytest.raises(InvalidInput):
-        linear_collapse(ch)
+        recipe_7_3_1(ch, 1)
     with pytest.raises(InvalidInput):
-        linear_raise(ch)
+        recipe_7_3_1(ch, 2)
 
 
 def test_sigma_recipes_break_one_hasse_index():

@@ -1,6 +1,7 @@
 """Census, emptiness tables, degree fits, fibers, and the closure poset."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,7 +9,7 @@ from latmodel import chains, cli, deform, dieudonne, invariants, strata, umod
 from latmodel.chains import enumerate_chains
 from latmodel.cli import _suite_flatness, _suite_hodge
 from latmodel.dieudonne import ag_witness
-from latmodel.errors import InvalidInput
+from latmodel.errors import AllMinorsVanish, InvalidInput, NotFound, NoValidAuxVector
 from latmodel.invariants import StratumLabel, hodge, stratum_label
 from latmodel.scalars import prime_field, small_field
 from latmodel.strata import (
@@ -78,6 +79,17 @@ def test_hodge_step_check():
     violations, converse = hodge_step_check(4, F2)
     assert violations == []
     assert len(converse) > 0  # the converse of the step lemma fails
+
+
+def test_hodge_step_check_work_counts(monkeypatch):
+    """hodge is computed once per distinct level of the 81 chains at
+    (4, F_2), the zero level included: 57 calls, where two per (chain, i)
+    would be 486."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts, strata, "hodge", "hodges")
+    violations, converse = hodge_step_check(4, F2)
+    assert (len(violations), len(converse)) == (0, 24)
+    assert counts["hodges"] == 57
 
 
 def test_degree_fit_exact_polynomials():
@@ -292,6 +304,118 @@ def test_m1_layer_propagates_bug_traps(module, recipe, monkeypatch):
     groups = {stratum_label(chain): [chain]}
     with pytest.raises(AssertionError, match="planted bug"):
         strata._build_m1_layer(PosetReport(4, 2), 4, F2, model, groups)
+
+
+def test_named_edges_are_read_off_the_recipe_table():
+    # each variant's lower label from deform.NAMED_MOVES, its upper one from
+    # the family the linear recipe builds at a census point
+    groups = census_by_point(4, F2)
+    edges = {}
+    for v, (lo, _, _, _) in deform.NAMED_MOVES.items():
+        gen = deform.recipe_7_3_1(groups[StratumLabel(*lo)][0], v).generic_label()
+        edges[lo, (gen.lam, gen.T)] = v
+    assert strata._NAMED_EDGES == edges == {
+        (((2, 2), frozenset({2, 3, 4})), ((2, 2), frozenset({3}))): 1,
+        (((2, 2), frozenset({3})), ((3, 1), frozenset({3}))): 2,
+    }
+    assert list(strata._NAMED_EDGES.values()) == [1, 2]
+
+
+def _failure(lower, upper, point, error):
+    return {
+        "edge": [lower.serialize(), upper.serialize()],
+        "point": point.serialize(),
+        "error": error,
+    }
+
+
+def test_build_poset_records_exhausted_searches(monkeypatch):
+    # with every search exhausted, the two search edges at (3, F_2) keep no
+    # point: each is a failure, in edge order then census order
+    def exhausted(*args, **kwargs):
+        raise NotFound("planted")
+
+    monkeypatch.setattr(strata, "search_witness", exhausted)
+    rep = build_poset(3, F2)
+    lo, t2, t3, top = (
+        StratumLabel.parse(s)
+        for s in (
+            "lambda=(2,1);T={2,3}", "lambda=(2,1);T={2}", "lambda=(2,1);T={3}",
+            "lambda=(3,0);T={}",
+        )
+    )
+    points = census_by_point(3, F2)[lo]
+    assert not rep.ok
+    assert rep.failures == [
+        _failure(lo, hi, p, "search exhausted and no certified orbit-mate")
+        for hi in (t2, t3)
+        for p in points
+    ]
+    assert [(e["lower"], e["upper"], e["certified"], e["method"]) for e in rep.edges] == [
+        (t2.serialize(), top.serialize(), 6, "hodge-raise"),
+        (lo.serialize(), t2.serialize(), 0, "none"),
+        (lo.serialize(), t3.serialize(), 0, "none"),
+        (t3.serialize(), top.serialize(), 6, "hodge-raise"),
+    ]
+
+
+# the m1 = 0 labels of the (4, F_2) census with the ag_witness model
+_M1_ZERO_E4 = [
+    "lambda=(2,2);T={2,3,4};m1=0", "lambda=(2,2);T={2,4};m1=0",
+    "lambda=(2,2);T={3};m1=0", "lambda=(3,1);T={2};m1=0",
+    "lambda=(3,1);T={2,3};m1=0", "lambda=(3,1);T={3};m1=0",
+    "lambda=(3,1);T={3,4};m1=0",
+]
+
+
+@pytest.mark.parametrize(
+    "sigma, inversion, collapse_error, inversion_error",
+    [
+        (
+            NoValidAuxVector("planted collapse"),
+            AllMinorsVanish("planted inversion"),
+            "NoValidAuxVector: planted collapse",
+            "AllMinorsVanish: planted inversion",
+        ),
+        (
+            StratumLabel((4, 0), (), "0"),
+            StratumLabel((4, 0), (), "1"),
+            "generic label lambda=(4,0);T={};m1=0",
+            "inversion label mismatch",
+        ),
+    ],
+    ids=["library-error", "wrong-label"],
+)
+def test_m1_layer_failure_records(
+    sigma, inversion, collapse_error, inversion_error, monkeypatch
+):
+    # a recipe that raises a library error, or whose family has the wrong
+    # generic label, leaves a failure record; sigma_raise still certifies
+    def planted(outcome):
+        def recipe(*args, **kwargs):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return SimpleNamespace(generic_label=lambda: outcome)
+
+        return recipe
+
+    monkeypatch.setattr(deform, "sigma_collapse", planted(sigma))
+    monkeypatch.setattr(strata, "invert_m1", planted(inversion))
+    model, _ = ag_witness(2, 1, F2)
+    groups = census_by_point(4, F2)
+    rep = PosetReport(4, 2)
+    strata._build_m1_layer(rep, 4, F2, model, groups)
+    collapse = ("lambda=(2,2);T={2,3,4};m1=0", "lambda=(2,2);T={3};m1=0")
+    assert [(tuple(f["edge"]), f["error"]) for f in rep.failures] == [
+        (collapse, collapse_error)
+    ] + [((lab, lab[:-1] + "1"), inversion_error) for lab in _M1_ZERO_E4]
+    for f in rep.failures:
+        lower = StratumLabel.parse(f["edge"][0]).linear()
+        assert f["point"] in [c.serialize() for c in groups[lower]]
+    assert rep.m1_edges == [
+        {"lower": "lambda=(2,2);T={3};m1=0", "upper": "lambda=(3,1);T={3};m1=0",
+         "method": "732-2"}
+    ]
 
 
 def test_product_census_multiplies():
